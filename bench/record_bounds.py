@@ -5,9 +5,11 @@
 Run only to redefine the bounds: they were recorded at the commit that
 added the benchmark, and later commits are checked against them.  It
 overwrites ``bench/error_bounds.json`` with the max error of every fixed
-case (all of square-lu and small-sweep, and the fixed discs of disc-mix)
-and, per backend, the largest ``error / h**order`` over the converged
-random discs of the calibration seeds.
+case that converges (all of square-lu and small-sweep; the fixed discs of
+disc-mix did not, so they are checked like random discs) and, per
+backend, the largest ``error / h**order`` over the converged random discs
+of the calibration seeds.  The error of a solve that did not converge is
+never recorded: it would bound a correct solve by a defective one.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ CALIBRATION_SEEDS = range(1000, 1040)
 ORDERS = {"cartesian": 4.0 / 3.0, "hex": 2.0}
 
 
-def solve_error(case):
+def converged_error(case):
+    """``(h, max error)`` of a converged solve of ``case``, else None."""
     problem = case.build_problem()
-    try:
-        grid, values, report, _ = quadma.solve_problem(problem, case.backend, case.n,
-                                                       K=case.K, warm_start=case.warm)
-    except (RuntimeError, ValueError):
-        return None, None, False
-    return grid, quadma.max_error(grid, values, problem), report.converged
+    result = workloads.solve(case, problem)
+    if isinstance(result, Exception) or not result[2].converged:
+        return None
+    grid, values, _, _ = result
+    return grid.h, quadma.max_error(grid, values, problem)
 
 
 def main():
@@ -43,16 +45,19 @@ def main():
         + workloads.cases("disc-mix", 0)[:len(workloads.FIXED_DISCS)]
     cases = {}
     for case in fixed:
-        _, error, converged = solve_error(case)
-        cases[case.key] = error
-        print(f"{case.key}: error {error:.6e} converged {converged}", flush=True)
+        solved = converged_error(case)
+        if solved is not None:
+            cases[case.key] = solved[1]
+        print(f"{case.key}: " + ("did not converge, not recorded" if solved is None
+                                 else f"error {solved[1]:.6e}"), flush=True)
 
     ratios = {backend: [] for backend in ORDERS}
     for seed in CALIBRATION_SEEDS:
         for case in workloads.cases("disc-mix", seed)[len(workloads.FIXED_DISCS):]:
-            grid, error, converged = solve_error(case)
-            if converged:
-                ratios[case.backend].append(error / grid.h ** ORDERS[case.backend])
+            solved = converged_error(case)
+            if solved is not None:
+                h, error = solved
+                ratios[case.backend].append(error / h ** ORDERS[case.backend])
         print(f"seed {seed}: " + ", ".join(f"{b} {max(r):.4g} over {len(r)}"
                                            for b, r in ratios.items()), flush=True)
 

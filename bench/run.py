@@ -6,8 +6,10 @@ Every solve goes through the public entry point ``quadma.solve_problem``
 of the package under ``src/`` next to this directory, and every solution
 is checked (see ``workloads.solve_checked``).  The run imports the
 package, runs one untimed warm-up pass, then repeats whole passes over
-the workload's solves until ``--seconds`` have gone by, timing the
-per-solve set-up (``build_grid`` + ``default_params``) between passes.
+the workload's solves (disc-mix cycles through its sets of random discs)
+until ``--seconds`` have gone by and at least ``MIN_PASSES`` are done,
+timing the set-up of every grid of a pass (``build_grid`` +
+``default_params``) between passes.
 
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` alternates
 untraced and traced passes and reports the per-layer metrics of
@@ -43,8 +45,13 @@ WORKLOADS = ("square-lu", "small-sweep", "disc-mix")
 # traced run must repeat exactly.
 BLAS_THREADS = 1
 
-MIN_PASSES = 2
-SETUP_REPEATS_EARLY = 3      # set-ups before each of the first MIN_PASSES passes
+# solve_s is the median over the passes of a run, so every run makes at
+# least MIN_PASSES of them, whatever --seconds says.  The traced run makes
+# at least MIN_PAIRS untraced/traced pairs for trace.overhead_ratio.
+MIN_PASSES = 5
+MIN_PAIRS = 2
+SETUP_REPEATS_EARLY = 3      # set-ups before each of the first EARLY_PASSES passes
+EARLY_PASSES = 2
 
 END_TO_END_UNITS = {"solve_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
 
@@ -92,9 +99,9 @@ def measure_end_to_end(work, seconds: float):
     setups, passes = [], []
     start = time.perf_counter()
     while len(passes) < MIN_PASSES or time.perf_counter() - start < seconds:
-        repeats = SETUP_REPEATS_EARLY if len(passes) < MIN_PASSES else 1
-        setups += [work.setup_seconds() for _ in range(repeats)]
-        passes.append(work.run_pass())
+        repeats = SETUP_REPEATS_EARLY if len(passes) < EARLY_PASSES else 1
+        setups += [work.setup_seconds(len(passes)) for _ in range(repeats)]
+        passes.append(work.run_pass(len(passes)))
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     metrics = {"solve_s": statistics.median(passes), "setup_s": statistics.median(setups),
                "peak_rss_mb": rss_mb}
@@ -104,17 +111,22 @@ def measure_end_to_end(work, seconds: float):
 
 
 def measure_layers(work, seconds: float, spans_path: Path):
+    """Per-layer metrics from traced passes, each paired with an untraced pass of the same solves.
+
+    Times are medians over the traced passes; counts and ratios are those
+    of the first traced pass, which runs the same solves in every run.
+    """
     from tracing import COUNTERS, PER_LAYER, Tracer
 
     plain, traced, tracers = [], [], []
     start = time.perf_counter()
-    while not traced or time.perf_counter() - start < seconds:
+    while len(traced) < MIN_PAIRS or time.perf_counter() - start < seconds:
         if len(plain) <= len(traced):
-            plain.append(work.run_pass())
+            plain.append(work.run_pass(len(plain)))
         else:
             tracer = Tracer()
             with tracer.installed():
-                traced.append(work.run_pass(tracer))
+                traced.append(work.run_pass(len(traced), tracer))
             tracers.append(tracer)
 
     per_pass = [t.metrics() for t in tracers]
@@ -130,7 +142,9 @@ def measure_layers(work, seconds: float, spans_path: Path):
             notes[name] = _spread("traced passes", values)
         else:
             metrics[name] = values[0]
-            if name in COUNTERS and len(set(values)) > 1:
+            # Traced pass i runs the same solves as traced pass i - sets.
+            sets = len(work.passes)
+            if name in COUNTERS and any(v != values[i % sets] for i, v in enumerate(values)):
                 notes[name] = f"DIFFERS between traced passes: {values}"
     metrics["trace.overhead_ratio"] = statistics.median(traced) / statistics.median(plain)
     notes["trace.overhead_ratio"] = (f"traced {statistics.median(traced):.4f} s over "
@@ -168,7 +182,7 @@ def main(argv=None) -> int:
     failed = len(work.failures)
     wrong = [f for f in work.failures if f[1] == "wrong"]
     print(f"workload {args.workload}  seed {args.seed}  trace {args.trace}  "
-          f"solves per pass {len(work.cases)}")
+          f"solves per pass {len(work.passes[0])}  solve sets {len(work.passes)}")
     print("env " + " ".join(f"{k}={v}" for k, v in environment().items()))
     for name, value in metrics.items():
         shown = "absent" if value is None else f"{value:.6g}"

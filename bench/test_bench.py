@@ -1,4 +1,4 @@
-"""Checks of the benchmark itself.  Slow (a few minutes), so outside tier-1:
+"""Checks of the benchmark itself.  Slow (about five minutes), so outside tier-1:
 
     python -m pytest bench/test_bench.py
 
@@ -23,7 +23,11 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
 sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(ROOT / "src"))
+import quadma  # noqa: E402
+import quadma.solver  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def run_bench(workload, trace, seed=0):
@@ -73,11 +77,22 @@ def test_disc_mix_keeps_the_tiny_arm_failures():
     assert result["failed"] > 0
 
 
-def test_missing_function_makes_its_layer_absent(monkeypatch):
-    sys.path.insert(0, str(ROOT / "src"))
-    import quadma
-    import quadma.solver
+@pytest.mark.parametrize("backend", ["cartesian", "hex"])
+def test_set_up_covers_the_coarse_grid_of_a_warm_start(monkeypatch, backend):
+    built = []
+    original = quadma.solver.build_grid
 
+    def recording(domain, backend, n, K=None):
+        built.append(n)
+        return original(domain, backend, n, K)
+
+    monkeypatch.setattr(quadma.solver, "build_grid", recording)
+    case = workloads.Case("ex1", backend, 40, warm=True, disc=(0.1, -0.05, 0.8))
+    workloads.solve(case, case.build_problem())
+    assert built == [workloads.coarse_n(case)]
+
+
+def test_missing_function_makes_its_layer_absent(monkeypatch):
     renamed = tuple((m, "scheme_apply_renamed" if a == "scheme_apply" else a, n)
                     for m, a, n in tracing.TARGETS)
     monkeypatch.setattr(tracing, "TARGETS", renamed)

@@ -1,9 +1,9 @@
 """The benchmark's workloads: which solves a pass runs, and how each is checked.
 
 A case is one call of ``quadma.solve_problem``.  ``square-lu`` and
-``small-sweep`` are fixed lists; ``disc-mix`` draws its random discs from
-the workload seed, and the library only ever receives the generated
-domains and sizes.
+``small-sweep`` are fixed lists; ``disc-mix`` draws ``DISC_SETS`` sets of
+random discs from the workload seed, one set per pass, and the library
+only ever receives the generated domains and sizes.
 """
 
 from __future__ import annotations
@@ -20,21 +20,29 @@ import quadma
 BOUNDS_FILE = Path(__file__).with_name("error_bounds.json")
 
 # A fixed case's max error may exceed the error recorded when the benchmark
-# was added by this factor before the solve counts as failed.  A random
-# disc has no recorded error of its own; its bound scales the worst
-# error / h**order of the calibration discs by the larger factor, to catch
-# wrong answers rather than rank discs.
+# was added by this factor before the solve counts as failed.  A disc with
+# no recorded error of its own (every random disc, and the fixed discs,
+# which did not converge when the bounds were recorded) is bounded by the
+# worst error / h**order of the calibration discs times the larger factor,
+# to catch wrong answers rather than rank discs.
 ERROR_SLACK = 1.25
 RANDOM_DISC_SLACK = 2.0
 
 # Random discs per disc-mix pass.  Disc i takes its size from the i-th of
 # this many equal strata of the even sizes in [40, 80], so every seed gets
-# the same spread of sizes and a pass costs about the same on every seed.
+# the same spread of sizes.
 DISC_COUNT = 6
 
+# Sets of random discs that the passes of a disc-mix run cycle through.
+# Whether a Cartesian warm start on a random disc converges (up to 2 s) or
+# fails on its coarse grid (under 0.2 s) is chance, so the time of a pass
+# over one set moves by a third from seed to seed; the median over the
+# passes of several sets moves much less.
+DISC_SETS = 5
+
 # The two tiny-arm reproduction cases: on the Cartesian backend both ended
-# with "line search stalled" when the benchmark was added.  They are part
-# of every disc-mix pass whatever the seed.
+# with "line search stalled" when the benchmark was added, so no error of
+# theirs is recorded.  They are part of every disc-mix pass whatever the seed.
 FIXED_DISCS = (((0.1, 0.03), 0.77, 51), ((0.0, 0.0), 1.0, 79))
 
 
@@ -63,8 +71,8 @@ class Case:
                                        base.u_exact, base.f, base.g)
 
 
-def random_discs(seed: int):
-    """``DISC_COUNT`` discs ``(cx, cy, radius, n)`` drawn from ``seed``.
+def random_discs(seed: int, disc_set: int = 0):
+    """Set ``disc_set`` of ``DISC_COUNT`` discs ``(cx, cy, radius, n)`` drawn from ``seed``.
 
     Centre in [-0.2, 0.2]^2 and radius in [0.6, 1.0], uniformly.  Sizes are
     even: on an odd size the bounding-box-anchored Cartesian lattice puts
@@ -78,20 +86,23 @@ def random_discs(seed: int):
     failures are cheap.
     """
     rng = np.random.default_rng(seed)
-    sizes = np.arange(40, 81, 2)
-    strata = np.array_split(sizes, DISC_COUNT)
-    discs = []
-    for stratum in strata:
-        cx, cy = rng.uniform(-0.2, 0.2, size=2)
-        radius = rng.uniform(0.6, 1.0)
-        discs.append((float(cx), float(cy), float(radius), int(rng.choice(stratum))))
+    strata = np.array_split(np.arange(40, 81, 2), DISC_COUNT)
+    for _ in range(disc_set + 1):
+        discs = []
+        for stratum in strata:
+            cx, cy = rng.uniform(-0.2, 0.2, size=2)
+            radius = rng.uniform(0.6, 1.0)
+            discs.append((float(cx), float(cy), float(radius), int(rng.choice(stratum))))
     return discs
 
 
-def cases(workload: str, seed: int) -> list[Case]:
-    """The solves of one pass of ``workload``."""
+def cases(workload: str, seed: int, disc_set: int = 0) -> list[Case]:
+    """The solves of one pass of ``workload``; disc-mix takes one set of its random discs."""
     if workload == "square-lu":
-        return [Case("ex1", "cartesian", 96, K=5), Case("ex4", "cartesian", 96, K=5)]
+        # n = 72 rather than a larger lattice: sparse LU is already about 90%
+        # of the time, and a pass of about 5 s leaves room for enough passes
+        # in one run to take a median.
+        return [Case("ex1", "cartesian", 72, K=5), Case("ex4", "cartesian", 72, K=5)]
     if workload == "small-sweep":
         return [Case(p, backend, n)
                 for p in ("ex1", "ex2", "ex3", "ex4")
@@ -99,7 +110,7 @@ def cases(workload: str, seed: int) -> list[Case]:
                 for n in sizes]
     if workload == "disc-mix":
         out = [Case("ex1", "cartesian", n, disc=(c[0], c[1], r)) for c, r, n in FIXED_DISCS]
-        for cx, cy, radius, n in random_discs(seed):
+        for cx, cy, radius, n in random_discs(seed, disc_set):
             out += [Case("ex1", backend, n, warm=warm, disc=(cx, cy, radius))
                     for backend in ("cartesian", "hex") for warm in (False, True)]
         return out
@@ -124,12 +135,24 @@ def load_bounds() -> dict:
     return json.loads(BOUNDS_FILE.read_text())
 
 
+def coarse_n(case: Case) -> int | None:
+    """Size of the coarse grid a warm start of ``case`` builds, else None.
+
+    The default rule of ``quadma.solver.coarse_to_fine``, which
+    ``solve_problem`` leaves to pick the size.
+    """
+    if not case.warm:
+        return None
+    floor = 8 if case.backend != "cartesian" else 4 * (case.K or 2) + 4
+    n = max(-(-case.n // 4), floor)
+    return n if n <= case.n else None       # a larger one makes the library raise
+
+
 def error_bound(case: Case, grid, bounds: dict) -> float:
     """Largest max-norm error a solve of ``case`` may have.
 
-    Fixed cases use the error recorded when the benchmark was added; random discs,
-    which no table can list, use the backend's recorded worst ``error /
-    h**order`` over calibration discs.
+    Cases with a recorded error use it; discs without one use the
+    backend's recorded worst ``error / h**order`` over calibration discs.
     """
     if case.key in bounds["cases"]:
         return ERROR_SLACK * bounds["cases"][case.key]
@@ -137,6 +160,19 @@ def error_bound(case: Case, grid, bounds: dict) -> float:
         raise KeyError(f"no recorded error bound for {case.key}")
     fit = bounds["random_disc"][case.backend]
     return RANDOM_DISC_SLACK * fit["constant"] * grid.h ** fit["order"]
+
+
+def solve(case: Case, problem):
+    """One ``quadma.solve_problem`` call for ``case``.
+
+    Returns ``(grid, values, report, params)``, or the ``RuntimeError`` or
+    ``ValueError`` the library raised.
+    """
+    try:
+        return quadma.solve_problem(problem, case.backend, case.n, K=case.K,
+                                    warm_start=case.warm)
+    except (RuntimeError, ValueError) as exc:
+        return exc
 
 
 def solve_checked(case: Case, problem, bounds: dict):
@@ -151,12 +187,11 @@ def solve_checked(case: Case, problem, bounds: dict):
     claimed success for a wrong answer.  Only the solve is timed.
     """
     start = time.perf_counter()
-    try:
-        grid, values, report, params = quadma.solve_problem(
-            problem, case.backend, case.n, K=case.K, warm_start=case.warm)
-    except (RuntimeError, ValueError) as exc:
-        return time.perf_counter() - start, ("reported", f"raised {type(exc).__name__}: {exc}")
+    result = solve(case, problem)
     seconds = time.perf_counter() - start
+    if isinstance(result, Exception):
+        return seconds, ("reported", f"raised {type(result).__name__}: {result}")
+    grid, values, report, params = result
     if not report.converged:
         return seconds, ("reported", report.message)
     residual = float(np.abs(quadma.scheme_apply(grid, values, params, problem.f,
@@ -171,12 +206,17 @@ def solve_checked(case: Case, problem, bounds: dict):
 
 
 class Workload:
-    """The solves of one workload, with the tally of their checks."""
+    """The solves of one workload, with the tally of their checks.
+
+    Pass ``k`` runs ``self.passes[k % len(self.passes)]``: disc-mix cycles
+    through its ``DISC_SETS`` sets, the other workloads repeat one list.
+    """
 
     def __init__(self, name: str, seed: int):
         self.name, self.seed = name, seed
-        self.cases = cases(name, seed)
-        self.problems = [c.build_problem() for c in self.cases]
+        sets = DISC_SETS if name == "disc-mix" else 1
+        self.passes = [[(c, c.build_problem()) for c in cases(name, seed, s)]
+                       for s in range(sets)]
         self.bounds = load_bounds()
         self.attempted = 0
         self.failures: list[tuple[str, str, str]] = []   # (case key, kind, message)
@@ -184,26 +224,28 @@ class Workload:
     def warm_up(self):
         """Untimed and unchecked: first calls, lazy imports, allocator growth."""
         for case in warmup_cases(self.name, self.seed):
-            try:
-                quadma.solve_problem(case.build_problem(), case.backend, case.n, K=case.K,
-                                     warm_start=case.warm)
-            except (RuntimeError, ValueError):
-                pass
+            solve(case, case.build_problem())
 
-    def setup_seconds(self) -> float:
-        """``build_grid`` + ``default_params`` for the grid of every solve, as separate calls."""
+    def setup_seconds(self, k: int) -> float:
+        """``build_grid`` + ``default_params`` for every grid of a pass, as separate calls.
+
+        That is the grid of every solve and the coarse grid of every warm start.
+        """
         total = 0.0
-        for case, problem in zip(self.cases, self.problems):
-            start = time.perf_counter()
-            grid = quadma.build_grid(problem.domain, case.backend, case.n, case.K)
-            quadma.default_params(grid)
-            total += time.perf_counter() - start
+        for case, problem in self.passes[k % len(self.passes)]:
+            for n in (case.n, coarse_n(case)):
+                if n is None:
+                    continue
+                start = time.perf_counter()
+                grid = quadma.build_grid(problem.domain, case.backend, n, case.K)
+                quadma.default_params(grid)
+                total += time.perf_counter() - start
         return total
 
-    def run_pass(self, tracer=None) -> float:
-        """Solve and check every case once; returns the summed solve time."""
+    def run_pass(self, k: int, tracer=None) -> float:
+        """Solve and check every case of pass ``k`` once; returns the summed solve time."""
         seconds = 0.0
-        for i, (case, problem) in enumerate(zip(self.cases, self.problems)):
+        for i, (case, problem) in enumerate(self.passes[k % len(self.passes)]):
             if tracer is not None:
                 tracer.solve = i
             dt, failure = solve_checked(case, problem, self.bounds)
