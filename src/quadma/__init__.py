@@ -7,17 +7,15 @@ width-growing L1-circle stencils paired with a non-uniform Simpson rule.
 Both yield monotone schemes solved by a damped Newton iteration.
 """
 
-from .angles import (AngularDiscretization, filter_angles, hex_angles, l1_angles,
-                     quasi_uniformity, uniform_angles)
+from .angles import AngularDiscretization, filter_angles, hex_angles, l1_angles, uniform_angles
 from .benchmarks import (BENCHMARKS, BenchmarkProblem, ConvergenceRow, StudyResult,
                          convergence_study, ex1, ex2, ex3, ex4, fit_order, max_error,
                          solve_problem)
 from .domains import ConvexDomain, boundary_intersection, disc, make_domain, rectangle, square
 from .meshing import (Grid, build_grid, cartesian_mesh, default_stencil_depth,
                       grid_to_jsonable, hexagonal_mesh)
-from .operator import (SchemeParams, assemble_jacobian, convexified_det, default_epsilon,
-                       default_params, regularized_det_reference, scheme_apply, sdd_apply,
-                       sdd_matrix)
+from .operator import (SchemeParams, assemble_jacobian, default_epsilon, default_params,
+                       scheme_apply, sdd_matrix)
 from .quadrature import QuadratureRule, integrate, simpson_weights, trapezoid_weights
 from .solver import NewtonConfig, SolveReport, coarse_to_fine, damped_newton, poisson_init
 
@@ -25,13 +23,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngularDiscretization", "uniform_angles", "hex_angles", "l1_angles",
-    "filter_angles", "quasi_uniformity",
+    "filter_angles",
     "QuadratureRule", "trapezoid_weights", "simpson_weights", "integrate",
     "ConvexDomain", "rectangle", "square", "disc", "make_domain", "boundary_intersection",
     "Grid", "cartesian_mesh", "hexagonal_mesh", "build_grid", "default_stencil_depth",
     "grid_to_jsonable",
-    "SchemeParams", "default_epsilon", "default_params", "sdd_apply", "sdd_matrix",
-    "scheme_apply", "assemble_jacobian", "regularized_det_reference", "convexified_det",
+    "SchemeParams", "default_epsilon", "default_params", "sdd_matrix",
+    "scheme_apply", "assemble_jacobian",
     "NewtonConfig", "SolveReport", "poisson_init", "damped_newton", "coarse_to_fine",
     "BenchmarkProblem", "ex1", "ex2", "ex3", "ex4", "BENCHMARKS", "max_error",
     "solve_problem", "ConvergenceRow", "StudyResult", "fit_order", "convergence_study",

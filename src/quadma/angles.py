@@ -29,7 +29,6 @@ __all__ = [
     "l1_angles",
     "l1_offsets",
     "filter_angles",
-    "quasi_uniformity",
 ]
 
 
@@ -114,11 +113,6 @@ def l1_angles(K: int) -> AngularDiscretization:
     """
     offs = l1_offsets(K)
     return AngularDiscretization(np.arctan2(offs[:, 1], offs[:, 0]))
-
-
-def quasi_uniformity(d: AngularDiscretization) -> float:
-    """Largest angular gap divided by the smallest (including wraparound)."""
-    return d.quasi_uniformity
 
 
 def filter_angles(candidate_angles, ratio_low: float, ratio_high: float) -> AngularDiscretization:

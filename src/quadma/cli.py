@@ -70,21 +70,32 @@ def _merge_config(args: argparse.Namespace, keys) -> None:
             setattr(args, key, value)
 
 
+def _typed(args, key: str, kind, default=None):
+    """``kind(args.<key>)``, or ``default`` when unset.  Command-line values
+    arrive converted already, so a failure names a config-file field."""
+    value = getattr(args, key)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        _fail_config(f"field {key!r}: cannot read {value!r} as {kind.__name__}")
+
+
 def _parse_n_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        values = [int(v) for v in text]
-    else:
-        try:
-            values = [int(part) for part in str(text).split(",") if part.strip()]
-        except ValueError:
-            _fail_config(f"cannot parse n list {text!r} (expected e.g. 16,32,64)")
+    parts = text if isinstance(text, (list, tuple)) else \
+        [part for part in str(text).split(",") if part.strip()]
+    try:
+        values = [int(v) for v in parts]
+    except (TypeError, ValueError):
+        _fail_config(f"cannot parse n list {text!r} (expected e.g. 16,32,64)")
     if not values or sorted(values) != values:
         _fail_config("n list must be nonempty and increasing")
     return values
 
 
 def _check_common(args) -> None:
-    if args.problem not in BENCHMARKS:
+    if not isinstance(args.problem, str) or args.problem not in BENCHMARKS:
         _fail_config(f"unknown problem {args.problem!r} (expected one of {sorted(BENCHMARKS)})")
     if args.backend not in ("hex", "hexagonal", "cartesian"):
         _fail_config(f"unknown backend {args.backend!r} (expected 'hex' or 'cartesian')")
@@ -92,9 +103,8 @@ def _check_common(args) -> None:
 
 def _newton_config(args) -> NewtonConfig:
     return NewtonConfig(
-        residual_threshold_factor=float(args.threshold_factor
-                                        if args.threshold_factor is not None else 1.0),
-        max_iterations=int(args.max_iterations if args.max_iterations is not None else 50),
+        residual_threshold_factor=_typed(args, "threshold_factor", float, 1.0),
+        max_iterations=_typed(args, "max_iterations", int, 50),
         verbose=bool(args.verbose),
     )
 
@@ -105,18 +115,18 @@ def _cmd_solve(args) -> int:
     _check_common(args)
     if args.n is None:
         _fail_config("solve requires --n")
-    n = int(args.n)
+    n = _typed(args, "n", int)
     if n < 8:
         _fail_config(f"n must be at least 8, got {n}")
 
     problem = BENCHMARKS[args.problem]()
     grid, values, report, params = solve_problem(
         problem, args.backend, n,
-        K=None if args.K is None else int(args.K),
-        epsilon=None if args.epsilon is None else float(args.epsilon),
+        K=_typed(args, "K", int),
+        epsilon=_typed(args, "epsilon", float),
         cfg=_newton_config(args),
         warm_start=bool(args.warm_start),
-        coarse_n=None if args.coarse_n is None else int(args.coarse_n))
+        coarse_n=_typed(args, "coarse_n", int))
     err = max_error(grid, values, problem)
 
     payload = {
@@ -161,9 +171,9 @@ def _cmd_study(args) -> int:
     problem = BENCHMARKS[args.problem]()
     result = convergence_study(
         problem, args.backend, n_list,
-        K=None if args.K is None else int(args.K),
-        c_K=None if args.c_K is None else float(args.c_K),
-        epsilon=None if args.epsilon is None else float(args.epsilon),
+        K=_typed(args, "K", int),
+        c_K=_typed(args, "c_K", float),
+        epsilon=_typed(args, "epsilon", float),
         cfg=_newton_config(args),
         warm_start=bool(args.warm_start))
 
@@ -193,7 +203,7 @@ def _cmd_angles(args) -> int:
     _merge_config(args, ["K", "output"])
     if args.K is None:
         _fail_config("angles requires --K")
-    K = int(args.K)
+    K = _typed(args, "K", int)
     if K < 1:
         _fail_config("K must be at least 1")
 
@@ -239,7 +249,7 @@ def _cmd_mesh_dump(args) -> int:
         _fail_config(f"unknown backend {args.backend!r}")
     if args.n is None:
         _fail_config("mesh-dump requires --n")
-    n = int(args.n)
+    n = _typed(args, "n", int)
     if n < 8:
         _fail_config(f"n must be at least 8, got {n}")
     if args.output is None:
@@ -248,16 +258,14 @@ def _cmd_mesh_dump(args) -> int:
     name = args.domain or "square"
     try:
         if name == "disc":
-            dom = make_domain("disc",
-                              center=tuple(args.center) if args.center else (0.0, 0.0),
-                              radius=float(args.radius) if args.radius is not None else 1.0)
+            dom = make_domain("disc", center=_typed(args, "center", tuple) or (0.0, 0.0),
+                              radius=_typed(args, "radius", float, 1.0))
         else:
-            dom = make_domain(name,
-                              lower_left=tuple(args.lower_left) if args.lower_left else (0.0, 0.0),
-                              side=float(args.side) if args.side is not None else 1.0)
+            dom = make_domain(name, lower_left=_typed(args, "lower_left", tuple) or (0.0, 0.0),
+                              side=_typed(args, "side", float, 1.0))
     except ValueError as exc:
         _fail_config(str(exc))
-    grid = build_grid(dom, args.backend, n, None if args.K is None else int(args.K))
+    grid = build_grid(dom, args.backend, n, _typed(args, "K", int))
     _write_json(args.output, grid_to_jsonable(grid))
     print(f"wrote {grid.n_points} points ({grid.n_interior} interior) to {args.output}")
     return 0

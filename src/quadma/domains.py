@@ -150,16 +150,7 @@ def boundary_intersection(domain: ConvexDomain, origin, direction) -> float:
     hi = 2.0 * domain.diameter
     if domain.signed_distance(origin + hi * direction) < 0.0:
         raise RuntimeError("no boundary crossing within 2x the bounding-box diameter")
-    lo = 0.0
-    # Relative tolerance 1e-13 on the root; the returned point then sits
-    # within ~1e-13 * t of the boundary (the sdf is 1-Lipschitz).
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if domain.signed_distance(origin + mid * direction) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_boundary_crossings(domain, origin[None], direction[None], [hi])[0])
 
 
 def _boundary_crossings(domain: ConvexDomain, origins, directions, brackets, iterations=80):
@@ -167,8 +158,9 @@ def _boundary_crossings(domain: ConvexDomain, origins, directions, brackets, ite
 
     ``origins`` and ``directions`` have shape ``(m, 2)``; ``brackets`` holds,
     per ray, an upper bound on the crossing distance at which the signed
-    distance is already nonnegative.  Used by the mesh builders, where the
-    bracket is the nominal stencil arm length.
+    distance is already nonnegative.  Used by :func:`boundary_intersection`
+    and by the mesh builders, where the bracket is the nominal stencil arm
+    length; 80 halvings take any bracket below double-precision resolution.
     """
     lo = np.zeros(len(brackets))
     hi = np.asarray(brackets, dtype=float).copy()

@@ -63,6 +63,11 @@ class Grid:
     indices of the aligned neighbors ``points[plus_index[i, j]] =
     x + h_plus[i, j] * (cos theta_j, sin theta_j)`` (same with a minus
     sign), with all arm lengths in ``(0, r]``.
+
+    ``cp = 2 / (h_plus * (h_plus + h_minus))`` and its mirror ``cm``, set
+    once from the arm lengths, weight the aligned second difference
+    ``D = cp*(u_plus - u_center) + cm*(u_minus - u_center)``, which is exact
+    on quadratics for any arm lengths.
     """
 
     kind: MeshKind
@@ -76,6 +81,13 @@ class Grid:
     h_plus: np.ndarray = field(repr=False)       # (Ni, M+1) float
     h_minus: np.ndarray = field(repr=False)      # (Ni, M+1) float
     params: dict = field(default_factory=dict)
+    cp: np.ndarray = field(init=False, repr=False)  # (Ni, M+1) float
+    cm: np.ndarray = field(init=False, repr=False)  # (Ni, M+1) float
+
+    def __post_init__(self):
+        total = self.h_plus + self.h_minus
+        self.cp = 2.0 / (self.h_plus * total)
+        self.cm = 2.0 / (self.h_minus * total)
 
     @property
     def n_points(self) -> int:
@@ -84,11 +96,6 @@ class Grid:
     @property
     def n_interior(self) -> int:
         return self.plus_index.shape[0]
-
-    @property
-    def interior_index(self) -> np.ndarray:
-        """Point indices of the stencil rows (interior points come first)."""
-        return np.arange(self.n_interior)
 
     def __repr__(self) -> str:
         return (f"Grid({self.kind}, {self.n_points} points, "
@@ -161,6 +168,14 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     return points, interior, plus_index, minus_index, h_plus, h_minus
 
 
+def _lattice_lookup(idx_map: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Interior point index at lattice sites ``(rows, cols)``; -1 off the lattice or domain."""
+    ok = (rows >= 0) & (rows < idx_map.shape[0]) & (cols >= 0) & (cols < idx_map.shape[1])
+    out = np.full(len(rows), -1, dtype=np.int64)
+    out[ok] = idx_map[rows[ok], cols[ok]]
+    return out
+
+
 def cartesian_mesh(domain: ConvexDomain, n: int, K: int) -> Grid:
     """Uniform Cartesian lattice with depth-K L1-circle stencils.
 
@@ -202,17 +217,10 @@ def cartesian_mesh(domain: ConvexDomain, n: int, K: int) -> Grid:
     h_plus = np.tile(arm, (n_int, 1))
     h_minus = np.tile(arm, (n_int, 1))
 
-    def _targets(di, dj):
-        ti, tj = ii + di, jj + dj
-        ok = (ti >= 0) & (ti < nx) & (tj >= 0) & (tj < ny)
-        out = np.full(n_int, -1, dtype=np.int64)
-        out[ok] = idx_map[tj[ok], ti[ok]]
-        return out
-
     for a in range(n_ang):
         di, dj = int(offs[a, 0]), int(offs[a, 1])
-        plus_index[:, a] = _targets(di, dj)
-        minus_index[:, a] = _targets(-di, -dj)
+        plus_index[:, a] = _lattice_lookup(idx_map, jj + dj, ii + di)
+        minus_index[:, a] = _lattice_lookup(idx_map, jj - dj, ii - di)
 
     points, interior, plus_index, minus_index, h_plus, h_minus = augment_boundary(
         domain, interior_points, angles, plus_index, minus_index, h_plus, h_minus,
@@ -298,11 +306,7 @@ def hexagonal_mesh(domain: ConvexDomain, n: int) -> Grid:
         for side, arr_idx, arr_len in (("plus", plus_index, h_plus),
                                        ("minus", minus_index, h_minus)):
             for a, (dp, dq, length) in enumerate(_HEX_ARMS[sub][side]):
-                tp, tq = gp + dp, gq + dq
-                ok = (tp >= 0) & (tp <= pmax) & (tq >= 0) & (tq <= qmax)
-                tgt = np.full(len(gp), -1, dtype=np.int64)
-                tgt[ok] = idx_map[tq[ok], tp[ok]]
-                arr_idx[mask, a] = tgt
+                arr_idx[mask, a] = _lattice_lookup(idx_map, gq + dq, gp + dp)
                 arr_len[mask, a] = length * s
 
     points, interior, plus_index, minus_index, h_plus, h_minus = augment_boundary(
@@ -343,7 +347,7 @@ def grid_to_jsonable(grid: Grid) -> dict:
         "points": grid.points.tolist(),
         "interior": grid.interior.astype(int).tolist(),
         "stencil": {
-            "interior_index": grid.interior_index.tolist(),
+            "interior_index": list(range(grid.n_interior)),
             "plus_index": grid.plus_index.tolist(),
             "minus_index": grid.minus_index.tolist(),
             "h_plus": grid.h_plus.tolist(),

@@ -33,12 +33,9 @@ __all__ = [
     "SchemeParams",
     "default_epsilon",
     "default_params",
-    "sdd_apply",
     "sdd_matrix",
     "scheme_apply",
     "assemble_jacobian",
-    "regularized_det_reference",
-    "convexified_det",
 ]
 
 
@@ -75,37 +72,28 @@ def _evaluate(func, pts: np.ndarray) -> np.ndarray:
     return np.broadcast_to(vals, (len(pts),))
 
 
-def _sdd_coefficients(grid: Grid):
-    """Neighbor coefficients of the aligned second difference.
-
-    ``D = cp*(u_plus - u_center) + cm*(u_minus - u_center)`` with
-    ``cp = 2 / (h_plus * (h_plus + h_minus))`` and symmetrically ``cm``;
-    exact on quadratics for any arm lengths.
-    """
-    total = grid.h_plus + grid.h_minus
-    cp = 2.0 / (grid.h_plus * total)
-    cm = 2.0 / (grid.h_minus * total)
-    return cp, cm
-
-
 def sdd_matrix(grid: Grid, u: np.ndarray) -> np.ndarray:
     """All second directional differences, shape ``(n_interior, n_angles)``."""
     u = np.asarray(u, dtype=float)
-    cp, cm = _sdd_coefficients(grid)
     uc = u[: grid.n_interior, None]
-    return cp * (u[grid.plus_index] - uc) + cm * (u[grid.minus_index] - uc)
+    return grid.cp * (u[grid.plus_index] - uc) + grid.cm * (u[grid.minus_index] - uc)
 
 
-def sdd_apply(grid: Grid, u: np.ndarray, node: int, angle_index: int) -> float:
-    """Second directional difference at one interior node and one angle."""
-    if not grid.interior[node]:
-        raise ValueError(f"node {node} is a boundary point; differences live on interior nodes")
-    u = np.asarray(u, dtype=float)
-    hp = grid.h_plus[node, angle_index]
-    hm = grid.h_minus[node, angle_index]
-    up = u[grid.plus_index[node, angle_index]]
-    um = u[grid.minus_index[node, angle_index]]
-    return float(2.0 * (hm * up + hp * um - (hp + hm) * u[node]) / (hp * hm * (hp + hm)))
+def _stencil_matrix(grid: Grid, G: np.ndarray) -> sp.coo_matrix:
+    """Sparse matrix with interior rows ``sum_j G[:, j] * D_j`` and identity boundary rows.
+
+    ``G`` has one coefficient per interior node and angle (or broadcasts to
+    that shape).  With ``G <= 0`` the interior rows have nonpositive
+    off-diagonals and zero row sums; with ``G >= 0`` the signs mirror.
+    """
+    ni = grid.n_interior
+    n = grid.n_points
+    # plus arms, minus arms, then the diagonal (interior centers, boundary identity)
+    rows = np.concatenate([np.tile(np.repeat(np.arange(ni), len(grid.angles)), 2), np.arange(n)])
+    cols = np.concatenate([grid.plus_index.ravel(), grid.minus_index.ravel(), np.arange(n)])
+    data = np.concatenate([(G * grid.cp).ravel(), (G * grid.cm).ravel(),
+                           -(G * (grid.cp + grid.cm)).sum(axis=1), np.ones(n - ni)])
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def scheme_apply(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> np.ndarray:
@@ -145,10 +133,7 @@ def assemble_jacobian(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> 
     u = np.asarray(u, dtype=float)
     eps = params.epsilon
     w = params.quadrature.weights
-    ni = grid.n_interior
-    n = grid.n_points
 
-    cp, cm = _sdd_coefficients(grid)
     D = sdd_matrix(grid, u)
     Dmax = np.maximum(D, eps)
     S = (1.0 / Dmax) @ w / np.pi
@@ -156,52 +141,6 @@ def assemble_jacobian(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> 
     # dF/dD_j: quadrature part (active where D_j > eps) ...
     G = np.where(D > eps, -(2.0 * S ** -3.0)[:, None] * (w / np.pi) / Dmax ** 2, 0.0)
     # ... plus the minimum term through its attaining angle.
-    dmin = D.min(axis=1)
-    active_min = dmin < eps
+    active_min = D.min(axis=1) < eps
     G[np.flatnonzero(active_min), D[active_min].argmin(axis=1)] -= 1.0
-
-    center = np.arange(ni)
-    rows = np.concatenate([
-        np.repeat(center, len(w)), np.repeat(center, len(w)), center,
-        np.arange(ni, n),
-    ])
-    cols = np.concatenate([
-        grid.plus_index.ravel(), grid.minus_index.ravel(), center,
-        np.arange(ni, n),
-    ])
-    data = np.concatenate([
-        (G * cp).ravel(), (G * cm).ravel(), -(G * (cp + cm)).sum(axis=1),
-        np.ones(n - ni),
-    ])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def regularized_det_reference(hessian, epsilon: float, rule: QuadratureRule) -> float:
-    """Regularized determinant of an exact 2x2 symmetric quadratic form.
-
-    Evaluates ``(1/pi * sum_j w_j / max(v_j' M v_j, eps))**(-2)`` with the
-    given rule's angles and weights.  Serves as the analytic oracle for
-    :func:`scheme_apply` on quadratic grid functions, whose directional
-    differences reproduce ``v' M v`` exactly.
-    """
-    m = np.asarray(hessian, dtype=float)
-    theta = rule.discretization.angles
-    c, s = np.cos(theta), np.sin(theta)
-    utt = m[0, 0] * c ** 2 + 2.0 * m[0, 1] * c * s + m[1, 1] * s ** 2
-    total = rule.weights @ (1.0 / np.maximum(utt, epsilon)) / np.pi
-    return float(total ** -2.0)
-
-
-def convexified_det(hessian) -> float:
-    """Determinant on positive semidefinite input, smallest eigenvalue otherwise.
-
-    The exact modified determinant used as a test oracle for the scheme's
-    limiting behavior on non-convex data.
-    """
-    m = np.asarray(hessian, dtype=float)
-    half_trace = 0.5 * (m[0, 0] + m[1, 1])
-    radius = np.hypot(0.5 * (m[0, 0] - m[1, 1]), m[0, 1])
-    lam1 = half_trace - radius
-    if lam1 >= 0.0:
-        return float(m[0, 0] * m[1, 1] - m[0, 1] ** 2)
-    return float(lam1)
+    return _stencil_matrix(grid, G).tocsr()

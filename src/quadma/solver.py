@@ -20,8 +20,9 @@ import scipy.sparse.linalg as spla
 from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
 
 from .meshing import Grid, build_grid
-from .operator import SchemeParams, _evaluate, _sdd_coefficients, assemble_jacobian, \
+from .operator import SchemeParams, _evaluate, _stencil_matrix, assemble_jacobian, \
     default_params, scheme_apply
+from .quadrature import trapezoid_weights
 
 __all__ = ["NewtonConfig", "SolveReport", "poisson_init", "damped_newton", "coarse_to_fine"]
 
@@ -73,10 +74,6 @@ def _laplacian_system(grid: Grid):
     angle sum (trapezoid weights) reproduces it; both forms are exact on
     quadratics.
     """
-    from .quadrature import trapezoid_weights
-
-    ni = grid.n_interior
-    n = grid.n_points
     if grid.kind == "cartesian":
         lam = np.zeros(len(grid.angles))
         lam[np.argmin(np.abs(grid.angles.angles))] = 1.0
@@ -84,21 +81,7 @@ def _laplacian_system(grid: Grid):
     else:
         lam = 2.0 * trapezoid_weights(grid.angles).weights / np.pi
 
-    cp, cm = _sdd_coefficients(grid)
-    center = np.arange(ni)
-    rows = np.concatenate([
-        np.repeat(center, len(lam)), np.repeat(center, len(lam)), center,
-        np.arange(ni, n),
-    ])
-    cols = np.concatenate([
-        grid.plus_index.ravel(), grid.minus_index.ravel(), center,
-        np.arange(ni, n),
-    ])
-    data = np.concatenate([
-        (lam * cp).ravel(), (lam * cm).ravel(), -(lam * (cp + cm)).sum(axis=1),
-        np.ones(n - ni),
-    ])
-    lap = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
+    lap = _stencil_matrix(grid, lam).tocsc()
     lap.eliminate_zeros()
     return lap
 

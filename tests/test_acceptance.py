@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
+from oracles import regularized_det_reference
 from quadma import (assemble_jacobian, build_grid, convergence_study, default_params,
-                    ex1, ex2, ex3, ex4, l1_angles, regularized_det_reference,
-                    scheme_apply, sdd_matrix, simpson_weights, solve_problem, square,
-                    trapezoid_weights, uniform_angles)
+                    ex1, ex2, ex3, ex4, l1_angles, scheme_apply, sdd_matrix,
+                    simpson_weights, solve_problem, square, trapezoid_weights,
+                    uniform_angles)
 from quadma.benchmarks import max_error
 
 

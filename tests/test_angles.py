@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from quadma import (AngularDiscretization, filter_angles, hex_angles, l1_angles,
-                    quasi_uniformity, uniform_angles)
+from quadma import AngularDiscretization, filter_angles, hex_angles, l1_angles, uniform_angles
 
 
 def test_hex_angles():
@@ -15,7 +14,7 @@ def test_hex_angles():
 def test_l1_angles_k2():
     d = l1_angles(2)
     assert np.allclose(d.angles, [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4], atol=1e-14)
-    assert quasi_uniformity(d) == pytest.approx(1.0, abs=1e-12)
+    assert d.quasi_uniformity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_l1_angles_k3():
@@ -56,9 +55,9 @@ def test_quasi_uniformity_bounded_by_2_2():
 
 
 def test_quasi_uniformity_small_k_values():
-    assert quasi_uniformity(l1_angles(2)) == pytest.approx(1.0, abs=1e-12)
+    assert l1_angles(2).quasi_uniformity == pytest.approx(1.0, abs=1e-12)
     for K in (4, 8, 16, 32):
-        assert quasi_uniformity(l1_angles(K)) <= 2.1
+        assert l1_angles(K).quasi_uniformity <= 2.1
 
 
 def test_gap_ratios_approach_one():

@@ -101,7 +101,7 @@ def test_config_file_merge_and_override(tmp_path):
     assert json.loads(out.read_text())["n"] == 16
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--problem", "nope", "--backend", "hex", "--n", "16"])
     assert exc.value.code == 2
@@ -120,3 +120,18 @@ def test_config_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["study", "--problem", "ex1", "--backend", "hex", "--n", "32,16"])
     assert exc.value.code == 2
+    # config-file values bypass argparse's type and choices checks
+    capsys.readouterr()
+    for command, fields, message in (
+            ("solve", {"n": "abc"}, "field 'n'"),
+            ("solve", {"n": 12, "epsilon": "tiny"}, "field 'epsilon'"),
+            ("solve", {"n": 12, "problem": "nope"}, "unknown problem 'nope'"),
+            ("solve", {"n": 12, "problem": ["ex1"]}, "unknown problem ['ex1']"),
+            ("solve", {"n": 12, "backend": "triangle"}, "unknown backend 'triangle'"),
+            ("study", {"n_list": [12, "x"]}, "cannot parse n list")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "ex1", "backend": "hex", **fields}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"config error: {message}" in capsys.readouterr().err

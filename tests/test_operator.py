@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from quadma import (SchemeParams, assemble_jacobian, convexified_det, default_epsilon,
-                    default_params, hex_angles, l1_angles, regularized_det_reference,
-                    scheme_apply, sdd_apply, sdd_matrix, simpson_weights,
+from oracles import regularized_det_reference
+from quadma import (SchemeParams, assemble_jacobian, default_epsilon, default_params,
+                    hex_angles, l1_angles, scheme_apply, sdd_matrix, simpson_weights,
                     trapezoid_weights, uniform_angles)
 
 
@@ -18,9 +18,9 @@ def test_sdd_exact_on_quadratics_centered(cart_grid):
     centers = g.points[:g.n_interior]
     far = np.flatnonzero(np.abs(centers - 0.5).max(axis=1) < 0.2)
     node = int(far[0])
-    assert sdd_apply(g, u, node, 0) == pytest.approx(2.0, abs=1e-11)
+    assert sdd_matrix(g, u)[node, 0] == pytest.approx(2.0, abs=1e-11)
     angle_pi2 = int(np.argmin(np.abs(g.angles.angles - np.pi / 2)))
-    assert sdd_apply(g, u, node, angle_pi2) == pytest.approx(0.0, abs=1e-11)
+    assert sdd_matrix(g, u)[node, angle_pi2] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_sdd_exact_on_quadratics_uncentered(square9_k2):
@@ -30,12 +30,7 @@ def test_sdd_exact_on_quadratics_uncentered(square9_k2):
     node = int(np.flatnonzero((np.abs(centers[:, 0] - 0.875) < 1e-12)
                               & (np.abs(centers[:, 1] - 0.5) < 1e-12))[0])
     assert g.h_plus[node, 0] != g.h_minus[node, 0]
-    assert sdd_apply(g, u, node, 0) == pytest.approx(2.0, abs=1e-10)
-
-
-def test_sdd_rejects_boundary_node(square9_k2):
-    with pytest.raises(ValueError):
-        sdd_apply(square9_k2, np.zeros(square9_k2.n_points), square9_k2.n_points - 1, 0)
+    assert sdd_matrix(g, u)[node, 0] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_scheme_on_isotropic_quadratic(cart_grid, hex_grid):
@@ -67,13 +62,6 @@ def test_scheme_concave_limit(cart_grid, zeros):
     # every difference is -1: the scheme returns the negative smallest
     # eigenvalue up to the eps ** 2 regularization artifact
     assert np.allclose(res[:g.n_interior], 1.0 - params.epsilon ** 2, atol=1e-12)
-
-
-def test_convexified_det_oracle():
-    assert convexified_det(np.diag([2.0, 3.0])) == pytest.approx(6.0)
-    assert convexified_det(np.diag([-1.0, 5.0])) == pytest.approx(-1.0)
-    assert convexified_det(np.diag([0.0, 7.0])) == pytest.approx(0.0)
-    assert convexified_det(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(3.0)
 
 
 def test_regularized_det_reference_examples():
