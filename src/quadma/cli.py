@@ -82,6 +82,12 @@ def _typed(args, key: str, kind, default=None):
         _fail_config(f"field {key!r}: cannot read {value!r} as {kind.__name__}")
 
 
+def point(value) -> tuple[float, float]:
+    """A coordinate pair, for ``_typed``."""
+    x, y = value
+    return float(x), float(y)
+
+
 def _parse_n_list(text) -> list[int]:
     parts = text if isinstance(text, (list, tuple)) else \
         [part for part in str(text).split(",") if part.strip()]
@@ -144,6 +150,7 @@ def _cmd_solve(args) -> int:
             "alpha_history": report.alpha_history,
             "residual_history": report.residual_history,
             "message": report.message,
+            "linear_solves": report.linear_solves,
         },
         "points": grid.points.tolist(),
         "interior": grid.interior.astype(int).tolist(),
@@ -255,14 +262,11 @@ def _cmd_mesh_dump(args) -> int:
     if args.output is None:
         _fail_config("mesh-dump requires --output")
 
-    name = args.domain or "square"
+    shape = {key: _typed(args, key, kind) for key, kind in
+             (("lower_left", point), ("side", float), ("center", point), ("radius", float))
+             if getattr(args, key) is not None}
     try:
-        if name == "disc":
-            dom = make_domain("disc", center=_typed(args, "center", tuple) or (0.0, 0.0),
-                              radius=_typed(args, "radius", float, 1.0))
-        else:
-            dom = make_domain(name, lower_left=_typed(args, "lower_left", tuple) or (0.0, 0.0),
-                              side=_typed(args, "side", float, 1.0))
+        dom = make_domain(args.domain or "square", **shape)
     except ValueError as exc:
         _fail_config(str(exc))
     grid = build_grid(dom, args.backend, n, _typed(args, "K", int))

@@ -12,6 +12,7 @@ All geometric callables are vectorized: a "point array" has shape
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -110,16 +111,21 @@ def disc(center=(0.0, 0.0), radius=1.0) -> ConvexDomain:
 def make_domain(name: str, **params) -> ConvexDomain:
     """Build a named domain from CLI/config parameters.
 
-    ``"square"`` takes ``lower_left`` and ``side``; ``"disc"`` takes
-    ``center`` and ``radius``.
+    ``"square"`` takes ``lower_left`` and ``side``, ``"rectangle"`` takes
+    ``lower_left`` and ``size``, and ``"disc"`` takes ``center`` and
+    ``radius``; omitted ones keep their defaults.  An unknown name, or a
+    parameter the named domain does not take, raises ``ValueError``.
     """
-    if name == "square":
-        return square(params.get("lower_left", (0.0, 0.0)), params.get("side", 1.0))
-    if name == "rectangle":
-        return rectangle(params.get("lower_left", (0.0, 0.0)), params.get("size", 1.0))
-    if name == "disc":
-        return disc(params.get("center", (0.0, 0.0)), params.get("radius", 1.0))
-    raise ValueError(f"unknown domain name {name!r} (expected 'square', 'rectangle' or 'disc')")
+    builders = {"square": square, "rectangle": rectangle, "disc": disc}
+    if not isinstance(name, str) or name not in builders:
+        raise ValueError(f"unknown domain name {name!r} (expected 'square', 'rectangle' or 'disc')")
+    builder = builders[name]
+    accepted = list(inspect.signature(builder).parameters)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(f"domain {name!r} takes {', '.join(accepted)}, "
+                         f"not {', '.join(unknown)}")
+    return builder(**params)
 
 
 def boundary_intersection(domain: ConvexDomain, origin, direction) -> float:

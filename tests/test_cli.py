@@ -66,6 +66,7 @@ def test_solve_writes_solution_json(tmp_path):
     data = json.loads(out.read_text())
     assert data["problem"] == "ex2"
     assert data["report"]["converged"] is True
+    assert data["report"]["linear_solves"] == ["bicgstab"] * data["report"]["iterations"]
     assert len(data["values"]) == len(data["points"]) == len(data["interior"])
     assert data["max_error"] > 0
 
@@ -88,6 +89,26 @@ def test_mesh_dump(tmp_path):
     assert set(data["stencil"]) == {"interior_index", "plus_index", "minus_index",
                                     "h_plus", "h_minus"}
     assert len(data["points"]) == len(data["interior"])
+
+
+def test_mesh_dump_never_drops_domain_values(tmp_path, capsys):
+    out = tmp_path / "grid.json"
+    cfg = tmp_path / "cfg.json"
+    base = {"backend": "hex", "n": 12, "output": str(out)}
+    cfg.write_text(json.dumps({**base, "domain": "square", "side": 2.0}))
+    assert main(["mesh-dump", "--config", str(cfg)]) == 0
+    points = json.loads(out.read_text())["points"]
+    assert max(max(p) for p in points) == pytest.approx(2.0)
+    # "rectangle" reads "size", and a disc has no side: a config error, not [0, 1]^2
+    capsys.readouterr()
+    for fields, message in (({"domain": "rectangle", "side": 2.0}, "domain 'rectangle'"),
+                            ({"domain": "disc", "side": 2.0}, "domain 'disc'"),
+                            ({"domain": "disc", "center": []}, "field 'center'")):
+        cfg.write_text(json.dumps({**base, **fields}))
+        with pytest.raises(SystemExit) as exc:
+            main(["mesh-dump", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_config_file_merge_and_override(tmp_path):

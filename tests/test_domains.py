@@ -85,5 +85,7 @@ def test_make_domain(unit_square):
     assert d.signed_distance((1.0, 1.0)) == pytest.approx(-2.0)
     with pytest.raises(ValueError):
         make_domain("triangle")
+    with pytest.raises(ValueError, match="not side"):
+        make_domain("rectangle", side=2.0)
     with pytest.raises(ValueError):
         rectangle((0, 0), -1.0)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from quadma import (BenchmarkProblem, NewtonConfig, build_grid, coarse_to_fine,
-                    damped_newton, default_params, ex1, poisson_init, solve_problem,
-                    square)
-from quadma.solver import _laplacian_system
+from quadma import (BenchmarkProblem, NewtonConfig, assemble_jacobian, build_grid,
+                    coarse_to_fine, damped_newton, default_params, ex1, ex4, max_error,
+                    poisson_init, scheme_apply, solve_problem, square)
+from quadma.solver import _laplacian_system, _solve_linear
 
 
 def quad_data(p):
@@ -87,6 +88,51 @@ def test_newton_failure_reported_with_monotone_history():
     assert all(b < a for a, b in zip(hist, hist[1:]))
 
 
+def _mid_newton_system(backend, n, K=None):
+    """Jacobian and Newton right-hand side of ex1 after two damped steps."""
+    prob = ex1()
+    grid = build_grid(prob.domain, backend, n, K)
+    params = default_params(grid)
+    u0 = poisson_init(grid, prob.f, prob.g)
+    u, _ = damped_newton(grid, params, prob.f, prob.g, u0, NewtonConfig(max_iterations=2))
+    J = assemble_jacobian(grid, u, params, prob.f, prob.g)
+    return grid, J, -scheme_apply(grid, u, params, prob.f, prob.g)
+
+
+@pytest.mark.parametrize("backend,n,K", [("cartesian", 40, 5), ("hex", 32, None)])
+def test_solve_linear_krylov_matches_lu(backend, n, K):
+    grid, J, rhs = _mid_newton_system(backend, n, K)
+    ni = grid.n_interior
+    y, path = _solve_linear(J, rhs, ni)
+    assert path == "bicgstab"
+    assert np.array_equal(y[ni:], rhs[ni:])
+    y_lu = spla.splu(J.tocsc()).solve(rhs)
+    assert np.linalg.norm(y - y_lu) <= 1e-7 * np.linalg.norm(y_lu)
+
+
+def test_solve_linear_zero_row_falls_back_to_shifted_lu():
+    grid, J, rhs = _mid_newton_system("hex", 16)
+    J = J.tolil()
+    J[0, :] = 0.0  # an interior row: zero diagonal, singular matrix
+    y, path = _solve_linear(J.tocsr(), rhs, grid.n_interior)
+    assert path == "lu+shift"
+    assert np.all(np.isfinite(y))
+
+
+@pytest.mark.parametrize("make, iterations, alphas, error", [
+    (ex1, 6, [0.25, 0.25, 1.0, 1.0, 1.0, 1.0], 7.0337e-3),
+    (ex4, 9, [1.0, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0], 6.8969e-3),
+], ids=["ex1", "ex4"])
+def test_newton_history_cartesian_n72_k5(make, iterations, alphas, error):
+    prob = make()
+    grid, values, report, _ = solve_problem(prob, "cartesian", 72, K=5)
+    assert report.converged
+    assert report.iterations == iterations
+    assert report.alpha_history == alphas
+    assert report.linear_solves == ["bicgstab"] * iterations
+    assert float(f"{max_error(grid, values, prob):.4e}") == error
+
+
 def test_newton_verbose_logs_to_stderr(capsys):
     prob = ex1()
     grid = build_grid(prob.domain, "hex", 12)
@@ -95,6 +141,7 @@ def test_newton_verbose_logs_to_stderr(capsys):
     damped_newton(grid, params, prob.f, prob.g, u0, NewtonConfig(verbose=True))
     err = capsys.readouterr().err
     assert "iter 1: residual=" in err and "alpha=" in err
+    assert "linear_solve=bicgstab" in err
 
 
 def test_newton_rejects_nonfinite_start(cart_grid, zeros):

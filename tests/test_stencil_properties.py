@@ -4,7 +4,9 @@ The scheme is monotone, so its Jacobian has nonpositive off-diagonals and
 zero row sums at interior nodes (a Z-matrix, an M-matrix once the identity
 rows of the boundary points are added).  The Poisson Laplacian has the
 mirror-image signs.  Both are built by one stencil core; these properties
-pin its structure on squares and discs of random placement and size.
+pin its structure on squares and discs of random placement and size, and
+check that the Krylov solve of the Newton step, which relies on it, meets
+its tolerance there.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadma import assemble_jacobian, build_grid, default_params, disc, square
-from quadma.solver import _laplacian_system
+from quadma.solver import _laplacian_system, _solve_linear
 
 coords = st.floats(-1.0, 1.0)
 domains = st.one_of(
@@ -51,14 +53,30 @@ def _check_rows(grid, A, sign):
     assert np.all(A.data[boundary] == 1.0)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(grid=grids(), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-4.0, 1.0))
-def test_jacobian_is_z_matrix_with_zero_row_sums(grid, seed, scale):
+def _jacobian(grid, seed, scale):
     # a convex quadratic plus noise puts nodes on both branches of the scheme
     rng = np.random.default_rng(seed)
     u = 0.5 * (grid.points ** 2).sum(axis=1) + 10.0 ** scale * rng.standard_normal(grid.n_points)
-    J = assemble_jacobian(grid, u, default_params(grid), _zero, _zero)
+    return assemble_jacobian(grid, u, default_params(grid), _zero, _zero), rng
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grid=grids(), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-4.0, 1.0))
+def test_jacobian_is_z_matrix_with_zero_row_sums(grid, seed, scale):
+    J, _ = _jacobian(grid, seed, scale)
     _check_rows(grid, J, sign=1.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grid=grids(), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-4.0, 1.0))
+def test_krylov_step_meets_its_tolerance(grid, seed, scale):
+    J, rng = _jacobian(grid, seed, scale)
+    rhs = rng.standard_normal(grid.n_points)
+    ni = grid.n_interior
+    y, path = _solve_linear(J, rhs, ni)
+    if path == "bicgstab":
+        b = rhs[:ni] - J[:ni, ni:] @ rhs[ni:]
+        assert np.linalg.norm((J @ y - rhs)[:ni]) <= 1e-7 * np.linalg.norm(b)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
