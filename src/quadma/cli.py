@@ -1,9 +1,11 @@
 """Command-line interface: single solves, convergence studies, angle tables
 and mesh dumps, with machine-readable CSV/JSON outputs.
 
-Flags may also be supplied through a JSON config file (``--config``); flags
-given on the command line take precedence over file values.  Exit status is
-2 for configuration errors and 1 for solver failures; a failed study still
+Flags may also be supplied through a JSON config file (``--config``): its
+fields are read as the flags they name, ahead of the command line, so a flag
+given on the command line takes precedence.  Exit status is 2 for
+configuration errors (a value that argparse rejects, or that the library
+rejects with ``ValueError``) and 1 for solver failures; a failed study still
 writes the rows that completed.
 """
 
@@ -50,95 +52,77 @@ def _fail_config(message: str) -> None:
     raise SystemExit(2)
 
 
-def _merge_config(args: argparse.Namespace, keys) -> None:
-    """Fill argument values that were not given on the command line from the
-    JSON config file, reporting unknown fields by name."""
-    if not getattr(args, "config", None):
-        return
+def grid_size(text: str) -> int:
+    """Argparse type of ``--n``: an integer grid size of at least 8."""
+    n = int(text)
+    if n < 8:
+        raise argparse.ArgumentTypeError(f"n must be at least 8, got {n}")
+    return n
+
+
+def grid_sizes(text: str) -> list[int]:
+    """Argparse type of ``study --n``: comma-separated grid sizes."""
+    return [grid_size(part) for part in text.split(",")]
+
+
+def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The fields of the JSON config file at ``path`` as ``parser``'s own flags.
+
+    A field is the destination of its flag, and its value becomes the text
+    that would follow the flag on the command line: a string as it is, any
+    other value as JSON.  A pair fills a two-value flag, an ``n_list``
+    array is joined by commas, a switch is given bare for ``true`` and left
+    out for ``false``, and ``null`` leaves the field unset.
+    """
     try:
-        with open(args.config) as handle:
+        with open(path) as handle:
             cfg = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        _fail_config(f"cannot read config file {args.config}: {exc}")
+        _fail_config(f"cannot read config file {path}: {exc}")
     if not isinstance(cfg, dict):
         _fail_config("config file must hold a JSON object")
-    unknown = set(cfg) - set(keys)
+    # --config and --verbose are command-line only
+    actions = {action.dest: action for action in parser._actions
+               if action.dest not in ("help", "config", "verbose")}
+    unknown = set(cfg) - set(actions)
     if unknown:
         _fail_config(f"unknown config fields: {', '.join(sorted(unknown))}")
+
+    def text(value) -> str:
+        return value if isinstance(value, str) else json.dumps(value)
+
+    tokens = []
     for key, value in cfg.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-
-
-def _typed(args, key: str, kind, default=None):
-    """``kind(args.<key>)``, or ``default`` when unset.  Command-line values
-    arrive converted already, so a failure names a config-file field."""
-    value = getattr(args, key)
-    if value is None:
-        return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        _fail_config(f"field {key!r}: cannot read {value!r} as {kind.__name__}")
-
-
-def point(value) -> tuple[float, float]:
-    """A coordinate pair, for ``_typed``."""
-    x, y = value
-    return float(x), float(y)
-
-
-def _parse_n_list(text) -> list[int]:
-    parts = text if isinstance(text, (list, tuple)) else \
-        [part for part in str(text).split(",") if part.strip()]
-    try:
-        values = [int(v) for v in parts]
-    except (TypeError, ValueError):
-        _fail_config(f"cannot parse n list {text!r} (expected e.g. 16,32,64)")
-    if not values or sorted(values) != values:
-        _fail_config("n list must be nonempty and increasing")
-    return values
-
-
-def _check_common(args) -> None:
-    if not isinstance(args.problem, str) or args.problem not in BENCHMARKS:
-        _fail_config(f"unknown problem {args.problem!r} (expected one of {sorted(BENCHMARKS)})")
-    if args.backend not in ("hex", "hexagonal", "cartesian"):
-        _fail_config(f"unknown backend {args.backend!r} (expected 'hex' or 'cartesian')")
+        flag, nargs = actions[key].option_strings[0], actions[key].nargs
+        if value is None or (nargs == 0 and value is False):
+            continue
+        if nargs == 0 and value is True:
+            tokens.append(flag)
+        elif nargs == 2 and isinstance(value, list):
+            tokens += [flag, *map(text, value)]
+        elif key == "n_list" and isinstance(value, list):
+            tokens.append(f"{flag}={','.join(map(text, value))}")
+        else:
+            tokens.append(f"{flag}={text(value)}")
+    return tokens
 
 
 def _newton_config(args) -> NewtonConfig:
-    return NewtonConfig(
-        residual_threshold_factor=_typed(args, "threshold_factor", float, 1.0),
-        max_iterations=_typed(args, "max_iterations", int, 50),
-        verbose=bool(args.verbose),
-    )
+    return NewtonConfig(residual_threshold_factor=args.threshold_factor,
+                        max_iterations=args.max_iterations, verbose=args.verbose)
 
 
 def _cmd_solve(args) -> int:
-    _merge_config(args, ["problem", "backend", "n", "K", "epsilon", "threshold_factor",
-                         "max_iterations", "warm_start", "coarse_n", "output"])
-    _check_common(args)
-    if args.n is None:
-        _fail_config("solve requires --n")
-    n = _typed(args, "n", int)
-    if n < 8:
-        _fail_config(f"n must be at least 8, got {n}")
-
     problem = BENCHMARKS[args.problem]()
     grid, values, report, params = solve_problem(
-        problem, args.backend, n,
-        K=_typed(args, "K", int),
-        epsilon=_typed(args, "epsilon", float),
-        cfg=_newton_config(args),
-        warm_start=bool(args.warm_start),
-        coarse_n=_typed(args, "coarse_n", int))
+        problem, args.backend, args.n, K=args.K, epsilon=args.epsilon, cfg=_newton_config(args),
+        warm_start=args.warm_start, coarse_n=args.coarse_n)
     err = max_error(grid, values, problem)
 
     payload = {
         "problem": args.problem,
         "backend": args.backend,
-        "n": n,
+        "n": args.n,
         "K": grid.params.get("K"),
         "h": grid.h,
         "epsilon": params.epsilon,
@@ -158,31 +142,17 @@ def _cmd_solve(args) -> int:
     }
     if args.output:
         _write_json(args.output, payload)
-    print(f"{args.problem} {args.backend} n={n}: converged={report.converged} "
+    print(f"{args.problem} {args.backend} n={args.n}: converged={report.converged} "
           f"iterations={report.iterations} final_residual={report.final_residual:.17e} "
           f"max_error={err:.17e}")
     return 0 if report.converged else 1
 
 
 def _cmd_study(args) -> int:
-    _merge_config(args, ["problem", "backend", "n_list", "K", "c_K", "epsilon",
-                         "threshold_factor", "max_iterations", "warm_start",
-                         "output_csv", "output_json"])
-    _check_common(args)
-    if args.n_list is None:
-        _fail_config("study requires --n (comma-separated list)")
-    n_list = _parse_n_list(args.n_list)
-    if n_list[0] < 8:
-        _fail_config(f"n must be at least 8, got {n_list[0]}")
-
     problem = BENCHMARKS[args.problem]()
     result = convergence_study(
-        problem, args.backend, n_list,
-        K=_typed(args, "K", int),
-        c_K=_typed(args, "c_K", float),
-        epsilon=_typed(args, "epsilon", float),
-        cfg=_newton_config(args),
-        warm_start=bool(args.warm_start))
+        problem, args.backend, args.n_list, K=args.K, c_K=args.c_K, epsilon=args.epsilon,
+        cfg=_newton_config(args), warm_start=args.warm_start)
 
     lines = [CSV_HEADER]
     for row in result.rows:
@@ -194,7 +164,7 @@ def _cmd_study(args) -> int:
         _write_json(args.output_json, {
             "problem": result.problem,
             "backend": result.backend,
-            "n_list": n_list,
+            "n_list": args.n_list,
             "order": result.order,
             "order_all_rows": result.order_all_rows,
             "excluded_coarsest": result.excluded_coarsest,
@@ -207,14 +177,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_angles(args) -> int:
-    _merge_config(args, ["K", "output"])
-    if args.K is None:
-        _fail_config("angles requires --K")
-    K = _typed(args, "K", int)
-    if K < 1:
-        _fail_config("K must be at least 1")
-
-    d = l1_angles(K)
+    d = l1_angles(args.K)
     trap = trapezoid_weights(d)
     simpson_error = None
     try:
@@ -224,7 +187,7 @@ def _cmd_angles(args) -> int:
         simpson_w = np.full(len(d), np.nan)
         simpson_error = str(exc)
 
-    print(f"# L1-circle angles, K={K}: {len(d)} angles, "
+    print(f"# L1-circle angles, K={args.K}: {len(d)} angles, "
           f"resolution={d.resolution:.17e}, Q={d.quasi_uniformity:.17e}")
     print("index,angle,gap,trapezoid_weight,simpson_weight")
     for j in range(len(d)):
@@ -237,7 +200,7 @@ def _cmd_angles(args) -> int:
 
     if args.output:
         _write_json(args.output, {
-            "K": K,
+            "K": args.K,
             "angles": d.angles.tolist(),
             "gaps": d.gaps.tolist(),
             "resolution": d.resolution,
@@ -250,32 +213,16 @@ def _cmd_angles(args) -> int:
 
 
 def _cmd_mesh_dump(args) -> int:
-    _merge_config(args, ["backend", "n", "K", "domain", "lower_left", "side",
-                         "center", "radius", "output"])
-    if args.backend not in ("hex", "hexagonal", "cartesian"):
-        _fail_config(f"unknown backend {args.backend!r}")
-    if args.n is None:
-        _fail_config("mesh-dump requires --n")
-    n = _typed(args, "n", int)
-    if n < 8:
-        _fail_config(f"n must be at least 8, got {n}")
-    if args.output is None:
-        _fail_config("mesh-dump requires --output")
-
-    shape = {key: _typed(args, key, kind) for key, kind in
-             (("lower_left", point), ("side", float), ("center", point), ("radius", float))
+    shape = {key: getattr(args, key) for key in ("lower_left", "side", "center", "radius")
              if getattr(args, key) is not None}
-    try:
-        dom = make_domain(args.domain or "square", **shape)
-    except ValueError as exc:
-        _fail_config(str(exc))
-    grid = build_grid(dom, args.backend, n, _typed(args, "K", int))
+    grid = build_grid(make_domain(args.domain, **shape), args.backend, args.n, args.K)
     _write_json(args.output, grid_to_jsonable(grid))
     print(f"wrote {grid.n_points} points ({grid.n_interior} interior) to {args.output}")
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``quadma`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="quadma",
         description="Monotone quadrature-based finite difference solvers for the "
@@ -287,62 +234,80 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verbose", action="store_true",
                        help="log Newton progress to standard error")
 
+    def problem_flags(p):
+        p.add_argument("--problem", choices=sorted(BENCHMARKS), required=True)
+        p.add_argument("--backend", choices=["hex", "cartesian"], required=True)
+        p.add_argument("--epsilon", type=float, help="regularization override")
+        p.add_argument("--threshold-factor", type=float,
+                       default=NewtonConfig.residual_threshold_factor)
+        p.add_argument("--max-iterations", type=int, default=NewtonConfig.max_iterations)
+        p.add_argument("--warm-start", action="store_true")
+
     p_solve = sub.add_parser("solve", help="solve one benchmark problem")
-    p_solve.add_argument("--problem", choices=sorted(BENCHMARKS))
-    p_solve.add_argument("--backend", choices=["hex", "cartesian"])
-    p_solve.add_argument("--n", type=int, help="grid size (>= 8)")
+    problem_flags(p_solve)
+    p_solve.add_argument("--n", type=grid_size, required=True, help="grid size (>= 8)")
     p_solve.add_argument("--K", type=int, help="Cartesian stencil depth override")
-    p_solve.add_argument("--epsilon", type=float, help="regularization override")
-    p_solve.add_argument("--threshold-factor", dest="threshold_factor", type=float)
-    p_solve.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p_solve.add_argument("--warm-start", dest="warm_start", action="store_const", const=True)
-    p_solve.add_argument("--coarse-n", dest="coarse_n", type=int)
+    p_solve.add_argument("--coarse-n", type=int)
     p_solve.add_argument("--output", help="write solution + report JSON here")
     common(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_study = sub.add_parser("study", help="run a convergence study")
-    p_study.add_argument("--problem", choices=sorted(BENCHMARKS))
-    p_study.add_argument("--backend", choices=["hex", "cartesian"])
-    p_study.add_argument("--n", dest="n_list", help="comma-separated grid sizes, e.g. 16,32,64")
+    problem_flags(p_study)
+    p_study.add_argument("--n", dest="n_list", type=grid_sizes, required=True,
+                         help="comma-separated grid sizes, e.g. 16,32,64")
     p_study.add_argument("--K", type=int, help="fix the stencil depth for every row")
-    p_study.add_argument("--c-K", dest="c_K", type=float, help="scale the depth schedule")
-    p_study.add_argument("--epsilon", type=float)
-    p_study.add_argument("--threshold-factor", dest="threshold_factor", type=float)
-    p_study.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p_study.add_argument("--warm-start", dest="warm_start", action="store_const", const=True)
-    p_study.add_argument("--output-csv", dest="output_csv")
-    p_study.add_argument("--output-json", dest="output_json")
+    p_study.add_argument("--c-K", type=float, help="scale the depth schedule")
+    p_study.add_argument("--output-csv")
+    p_study.add_argument("--output-json")
     common(p_study)
     p_study.set_defaults(func=_cmd_study)
 
     p_angles = sub.add_parser("angles", help="print angles, gaps, weights and Q for a depth K")
-    p_angles.add_argument("--K", type=int)
+    p_angles.add_argument("--K", type=int, required=True)
     p_angles.add_argument("--output", help="also write the table as JSON")
     common(p_angles)
     p_angles.set_defaults(func=_cmd_angles)
 
     p_mesh = sub.add_parser("mesh-dump", help="build a grid and dump it as JSON")
-    p_mesh.add_argument("--backend", choices=["hex", "cartesian"])
-    p_mesh.add_argument("--n", type=int)
+    p_mesh.add_argument("--backend", choices=["hex", "cartesian"], required=True)
+    p_mesh.add_argument("--n", type=grid_size, required=True)
     p_mesh.add_argument("--K", type=int)
-    p_mesh.add_argument("--domain", choices=["square", "disc"])
-    p_mesh.add_argument("--lower-left", dest="lower_left", type=float, nargs=2)
+    p_mesh.add_argument("--domain", choices=["square", "disc"], default="square")
+    p_mesh.add_argument("--lower-left", type=float, nargs=2)
     p_mesh.add_argument("--side", type=float)
     p_mesh.add_argument("--center", type=float, nargs=2)
     p_mesh.add_argument("--radius", type=float)
-    p_mesh.add_argument("--output")
+    p_mesh.add_argument("--output", required=True)
     common(p_mesh)
     p_mesh.set_defaults(func=_cmd_mesh_dump)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv``, with the fields of a ``--config`` file put in as the
+    subcommand's first flags: one ``parse_args`` checks both sources, and a
+    flag given on the command line wins as the later occurrence."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        command = commands[argv[0]]
+        config = argparse.ArgumentParser(add_help=False)
+        config.add_argument("--config", nargs="?")  # a missing path is the full parse's error
+        path = config.parse_known_args(argv[1:])[0].config
+        if path:
+            argv[1:1] = _config_tokens(command, path)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
-    except (RuntimeError, ValueError) as exc:
+    except ValueError as exc:
+        _fail_config(str(exc))
+    except RuntimeError as exc:
         print(f"quadma: solver error: {exc}", file=sys.stderr)
         return 1
 

@@ -120,7 +120,7 @@ def scheme_apply(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> np.nd
     return res
 
 
-def assemble_jacobian(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> sp.csr_matrix:
+def assemble_jacobian(grid: Grid, u: np.ndarray, params: SchemeParams) -> sp.csr_matrix:
     """Generalized Jacobian of :func:`scheme_apply` at ``u``.
 
     Rows of boundary points are identity rows.  At interior nodes the

@@ -50,6 +50,8 @@ class NewtonConfig:
     def __post_init__(self):
         if not self.residual_threshold_factor > 0.0:
             raise ValueError("residual_threshold_factor must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be nonnegative")
         if not 0.0 < self.damping_beta < 1.0:
             raise ValueError("damping_beta must lie in (0, 1)")
         if not 0.0 < self.alpha_min <= 1.0:
@@ -175,7 +177,7 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
     report = SolveReport(final_residual=rnorm, iterations=0, residual_history=[rnorm])
 
     while rnorm >= threshold and report.iterations < cfg.max_iterations:
-        J = assemble_jacobian(grid, u, params, f, g)
+        J = assemble_jacobian(grid, u, params)
         step, path = _solve_linear(J, -res, grid.n_interior)
         report.linear_solves.append(path)
 
@@ -225,7 +227,7 @@ def interpolate_to_grid(coarse_grid: Grid, coarse_values: np.ndarray, fine_grid:
 
 
 def coarse_to_fine(problem, fine_n: int, coarse_n: int | None, backend: str, *,
-                   domain=None, K: int | None = None, epsilon: float | None = None,
+                   K: int | None = None, epsilon: float | None = None,
                    cfg: NewtonConfig = NewtonConfig(), fine_grid: Grid | None = None) -> np.ndarray:
     """Fine-grid initial guess from a converged coarse solve.
 
@@ -235,13 +237,12 @@ def coarse_to_fine(problem, fine_n: int, coarse_n: int | None, backend: str, *,
     ``coarse_n == fine_n`` returns the coarse solution itself, which is
     exactly the direct solve path.
     """
-    dom = problem.domain if domain is None else domain
     if coarse_n is None:
         coarse_n = max(-(-fine_n // 4), 8 if backend != "cartesian" else 4 * (K or 2) + 4)
     if coarse_n > fine_n:
         raise ValueError("coarse grid must not be finer than the fine grid")
 
-    coarse_grid = build_grid(dom, backend, coarse_n, K)
+    coarse_grid = build_grid(problem.domain, backend, coarse_n, K)
     coarse_params = default_params(coarse_grid, epsilon)
     u0 = poisson_init(coarse_grid, problem.f, problem.g)
     u_c, rep = damped_newton(coarse_grid, coarse_params, problem.f, problem.g, u0, cfg)
@@ -250,5 +251,5 @@ def coarse_to_fine(problem, fine_n: int, coarse_n: int | None, backend: str, *,
     if coarse_n == fine_n:
         return u_c
     if fine_grid is None:
-        fine_grid = build_grid(dom, backend, fine_n, K)
+        fine_grid = build_grid(problem.domain, backend, fine_n, K)
     return interpolate_to_grid(coarse_grid, u_c, fine_grid)

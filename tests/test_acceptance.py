@@ -188,7 +188,7 @@ def test_criterion_10_jacobian_directional_derivative():
             u += 0.005 * grid.h ** 2 * np.sin(3 * grid.points[:, 0]) \
                 * np.cos(2 * grid.points[:, 1])
             assert sdd_matrix(grid, u).min() > params.epsilon + 0.05
-            J = assemble_jacobian(grid, u, params, ZERO, ZERO)
+            J = assemble_jacobian(grid, u, params)
             v = rng.uniform(-1.0, 1.0, grid.n_points)
             Jv = J @ v
             errs = []

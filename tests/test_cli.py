@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quadma.cli import CSV_HEADER, main
+from quadma.cli import CSV_HEADER, _build_parser, _parse_args, main
 
 
 def test_angles_subcommand(capsys):
@@ -101,14 +101,15 @@ def test_mesh_dump_never_drops_domain_values(tmp_path, capsys):
     assert max(max(p) for p in points) == pytest.approx(2.0)
     # "rectangle" reads "size", and a disc has no side: a config error, not [0, 1]^2
     capsys.readouterr()
-    for fields, message in (({"domain": "rectangle", "side": 2.0}, "domain 'rectangle'"),
-                            ({"domain": "disc", "side": 2.0}, "domain 'disc'"),
-                            ({"domain": "disc", "center": []}, "field 'center'")):
+    for fields, message in (
+            ({"domain": "rectangle", "side": 2.0}, "--domain: invalid choice: 'rectangle'"),
+            ({"domain": "disc", "side": 2.0}, "config error: domain 'disc' takes center, radius"),
+            ({"domain": "disc", "center": []}, "--center: expected 2 arguments")):
         cfg.write_text(json.dumps({**base, **fields}))
         with pytest.raises(SystemExit) as exc:
             main(["mesh-dump", "--config", str(cfg)])
         assert exc.value.code == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_config_file_merge_and_override(tmp_path):
@@ -141,18 +142,113 @@ def test_config_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["study", "--problem", "ex1", "--backend", "hex", "--n", "32,16"])
     assert exc.value.code == 2
-    # config-file values bypass argparse's type and choices checks
+    # config-file values go through argparse's type and choices checks
     capsys.readouterr()
     for command, fields, message in (
-            ("solve", {"n": "abc"}, "field 'n'"),
-            ("solve", {"n": 12, "epsilon": "tiny"}, "field 'epsilon'"),
-            ("solve", {"n": 12, "problem": "nope"}, "unknown problem 'nope'"),
-            ("solve", {"n": 12, "problem": ["ex1"]}, "unknown problem ['ex1']"),
-            ("solve", {"n": 12, "backend": "triangle"}, "unknown backend 'triangle'"),
-            ("study", {"n_list": [12, "x"]}, "cannot parse n list")):
+            ("solve", {"n": "abc"}, "--n: invalid grid_size value: 'abc'"),
+            ("solve", {"n": 12, "epsilon": "tiny"}, "--epsilon: invalid float value: 'tiny'"),
+            ("solve", {"n": 12, "problem": "nope"}, "--problem: invalid choice: 'nope'"),
+            ("solve", {"n": 12, "problem": ["ex1"]}, """--problem: invalid choice: '["ex1"]'"""),
+            ("solve", {"n": 12, "backend": "triangle"}, "--backend: invalid choice: 'triangle'"),
+            ("study", {"n_list": [12, "x"]}, "--n: invalid grid_sizes value: '12,x'")):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"problem": "ex1", "backend": "hex", **fields}))
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(cfg)])
         assert exc.value.code == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+
+# Flags for the required fields of each subcommand, left out where the case sets that field.
+REQUIRED = {
+    "solve": {"problem": ["--problem", "ex1"], "backend": ["--backend", "hex"],
+              "n": ["--n", "12"]},
+    "study": {"problem": ["--problem", "ex1"], "backend": ["--backend", "hex"],
+              "n_list": ["--n", "12,16"]},
+    "angles": {"K": ["--K", "3"]},
+    "mesh-dump": {"backend": ["--backend", "hex"], "n": ["--n", "12"],
+                  "output": ["--output", "grid.json"]},
+}
+
+# (subcommand, config field, value, flags saying the same, flags overriding it or None)
+FIELD_CASES = [
+    ("solve", "problem", "ex2", ["--problem", "ex2"], ["--problem", "ex3"]),
+    ("solve", "backend", "cartesian", ["--backend", "cartesian"], ["--backend", "hex"]),
+    ("solve", "n", 16, ["--n", "16"], ["--n", "20"]),
+    ("solve", "K", 3, ["--K", "3"], ["--K", "4"]),
+    ("solve", "epsilon", 1e-05, ["--epsilon", "1e-05"], ["--epsilon", "-1"]),
+    ("solve", "threshold_factor", 0.5, ["--threshold-factor", "0.5"],
+     ["--threshold-factor", "2"]),
+    ("solve", "max_iterations", 0, ["--max-iterations", "0"], ["--max-iterations", "9"]),
+    ("solve", "warm_start", False, [], ["--warm-start"]),
+    ("solve", "warm_start", True, ["--warm-start"], None),
+    ("solve", "coarse_n", 9, ["--coarse-n", "9"], ["--coarse-n", "10"]),
+    ("solve", "output", "a.json", ["--output", "a.json"], ["--output", "b.json"]),
+    ("study", "problem", "ex4", ["--problem", "ex4"], ["--problem", "ex2"]),
+    ("study", "backend", "cartesian", ["--backend", "cartesian"], ["--backend", "hex"]),
+    ("study", "n_list", [16, 24], ["--n", "16,24"], ["--n", "12,20"]),
+    ("study", "n_list", "16,24", ["--n", "16,24"], ["--n", "12"]),
+    ("study", "K", 2, ["--K", "2"], ["--K", "5"]),
+    ("study", "c_K", 1.5, ["--c-K", "1.5"], ["--c-K", "0.5"]),
+    ("study", "epsilon", 0.01, ["--epsilon", "0.01"], ["--epsilon", "0.02"]),
+    ("study", "threshold_factor", 3, ["--threshold-factor", "3"], ["--threshold-factor", "1"]),
+    ("study", "max_iterations", 7, ["--max-iterations", "7"], ["--max-iterations", "8"]),
+    ("study", "warm_start", False, [], ["--warm-start"]),
+    ("study", "output_csv", "a.csv", ["--output-csv", "a.csv"], ["--output-csv", "b.csv"]),
+    ("study", "output_json", "a.json", ["--output-json", "a.json"], ["--output-json", "b.json"]),
+    ("angles", "K", 4, ["--K", "4"], ["--K", "5"]),
+    ("angles", "output", "a.json", ["--output", "a.json"], ["--output", "b.json"]),
+    ("mesh-dump", "backend", "cartesian", ["--backend", "cartesian"], ["--backend", "hex"]),
+    ("mesh-dump", "n", 14, ["--n", "14"], ["--n", "15"]),
+    ("mesh-dump", "K", 2, ["--K", "2"], ["--K", "3"]),
+    ("mesh-dump", "domain", "disc", ["--domain", "disc"], ["--domain", "square"]),
+    ("mesh-dump", "lower_left", [-1, 0.5], ["--lower-left", "-1", "0.5"],
+     ["--lower-left", "0", "0"]),
+    ("mesh-dump", "side", 2, ["--side", "2"], ["--side", "3"]),
+    ("mesh-dump", "center", [0.1, -0.2], ["--center", "0.1", "-0.2"], ["--center", "0", "0"]),
+    ("mesh-dump", "radius", 0.5, ["--radius", "0.5"], ["--radius", "0.25"]),
+    ("mesh-dump", "output", "a.json", ["--output", "a.json"], ["--output", "b.json"]),
+]
+
+
+def test_every_config_field_has_a_case():
+    _, commands = _build_parser()
+    for name, parser in commands.items():
+        fields = {action.dest for action in parser._actions} - {"help", "config", "verbose"}
+        assert fields == {field for command, field, *_ in FIELD_CASES if command == name}
+
+
+@pytest.mark.parametrize("command,field,value,flags,override", FIELD_CASES,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in FIELD_CASES])
+def test_config_field_reads_as_its_flag(tmp_path, command, field, value, flags, override):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    rest = [token for key, tokens in REQUIRED[command].items() if key != field
+            for token in tokens]
+
+    def parsed(*argv):
+        args = vars(_parse_args([command, *rest, *argv]))
+        del args["config"]
+        return args
+
+    from_file = parsed("--config", str(cfg))
+    assert from_file == parsed(*flags)
+    if override is not None:
+        assert parsed("--config", str(cfg), *override) == parsed(*override) != from_file
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "ex1", "--backend", "cartesian", "--n", "16", "--K", "0"],
+    ["solve", "--problem", "ex1", "--backend", "hex", "--n", "16", "--epsilon", "-1"],
+    ["solve", "--problem", "ex1", "--backend", "hex", "--n", "16", "--threshold-factor", "0"],
+    ["solve", "--problem", "ex1", "--backend", "hex", "--n", "16", "--max-iterations", "-1"],
+    ["solve", "--problem", "ex1", "--backend", "cartesian", "--n", "10", "--K", "5"],
+    ["mesh-dump", "--backend", "cartesian", "--n", "9", "--K", "4", "--output", "grid.json"],
+])
+def test_values_the_library_rejects_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "quadma: config error: " in capsys.readouterr().err
+    assert not (tmp_path / "grid.json").exists()

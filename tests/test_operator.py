@@ -95,21 +95,21 @@ def test_default_epsilon(cart_grid, hex_grid):
     assert default_epsilon(hex_grid) == pytest.approx(hex_grid.h ** 2)
 
 
-def test_jacobian_boundary_rows_identity(cart_grid, zeros):
+def test_jacobian_boundary_rows_identity(cart_grid):
     g = cart_grid
-    J = assemble_jacobian(g, np.zeros(g.n_points), default_params(g), zeros, zeros).tocsr()
+    J = assemble_jacobian(g, np.zeros(g.n_points), default_params(g)).tocsr()
     for i in range(g.n_interior, g.n_points):
         row = J.getrow(i)
         assert row.nnz == 1
         assert row[0, i] == pytest.approx(1.0)
 
 
-def test_jacobian_sparsity_within_stencil(cart_grid, zeros):
+def test_jacobian_sparsity_within_stencil(cart_grid):
     g = cart_grid
     rng = np.random.default_rng(6)
     u = quadratic(g.points, np.array([[1.5, 0.2], [0.2, 1.0]]))
     u += 0.001 * g.h ** 2 * rng.standard_normal(g.n_points)
-    J = assemble_jacobian(g, u, default_params(g), zeros, zeros).tocsr()
+    J = assemble_jacobian(g, u, default_params(g)).tocsr()
     for i in range(0, g.n_interior, 7):
         cols = set(J.getrow(i).indices)
         allowed = {i} | set(g.plus_index[i]) | set(g.minus_index[i])
@@ -125,7 +125,7 @@ def _fd_jacobian_check(grid, rng, trials=8):
         u = quadratic(grid.points, np.array([[a, c], [c, b]]))
         u += 0.005 * grid.h ** 2 * np.sin(3 * grid.points[:, 0]) * np.cos(2 * grid.points[:, 1])
         assert sdd_matrix(grid, u).min() > params.epsilon + 0.05  # away from kinks
-        J = assemble_jacobian(grid, u, params, zero, zero)
+        J = assemble_jacobian(grid, u, params)
         v = rng.uniform(-1.0, 1.0, grid.n_points)
         Jv = J @ v
         errs = []

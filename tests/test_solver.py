@@ -50,6 +50,9 @@ def test_newton_config_validation():
         NewtonConfig(damping_beta=1.0)
     with pytest.raises(ValueError):
         NewtonConfig(alpha_min=0.0)
+    with pytest.raises(ValueError):
+        NewtonConfig(max_iterations=-3)
+    assert NewtonConfig(max_iterations=0).max_iterations == 0
 
 
 def test_newton_zero_iterations_at_solution():
@@ -95,7 +98,7 @@ def _mid_newton_system(backend, n, K=None):
     params = default_params(grid)
     u0 = poisson_init(grid, prob.f, prob.g)
     u, _ = damped_newton(grid, params, prob.f, prob.g, u0, NewtonConfig(max_iterations=2))
-    J = assemble_jacobian(grid, u, params, prob.f, prob.g)
+    J = assemble_jacobian(grid, u, params)
     return grid, J, -scheme_apply(grid, u, params, prob.f, prob.g)
 
 

@@ -30,10 +30,6 @@ def grids(draw):
     return build_grid(draw(domains), backend, n)
 
 
-def _zero(p):
-    return np.zeros(len(p))
-
-
 def _check_rows(grid, A, sign):
     """Interior rows: ``sign * off-diagonal <= 0`` and zero row sums relative
     to the row's largest entry; boundary rows: identity."""
@@ -57,7 +53,7 @@ def _jacobian(grid, seed, scale):
     # a convex quadratic plus noise puts nodes on both branches of the scheme
     rng = np.random.default_rng(seed)
     u = 0.5 * (grid.points ** 2).sum(axis=1) + 10.0 ** scale * rng.standard_normal(grid.n_points)
-    return assemble_jacobian(grid, u, default_params(grid), _zero, _zero), rng
+    return assemble_jacobian(grid, u, default_params(grid)), rng
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
