@@ -209,8 +209,9 @@ def convergence_study(problem: BenchmarkProblem, backend: str, n_list, *,
 
     ``K`` fixes the Cartesian stencil depth for every row; by default the
     depth follows the ``round(n**(1/3))`` schedule (scaled by ``c_K`` if
-    given).  Solver failures are recorded per row (NaN error) and do not
-    abort the remaining rows.
+    given).  Solver failures (``RuntimeError``) are recorded per row (NaN
+    error) and do not abort the remaining rows; a ``ValueError``, a size or
+    depth the library rejects, propagates.
     """
     from .meshing import default_stencil_depth
 
@@ -230,7 +231,7 @@ def convergence_study(problem: BenchmarkProblem, backend: str, n_list, *,
             err = max_error(grid, values, problem)
             rows.append(ConvergenceRow(n, grid.h, err, time.perf_counter() - start,
                                        report.iterations, report.converged))
-        except (RuntimeError, ValueError) as exc:
+        except RuntimeError as exc:
             rows.append(ConvergenceRow(n, float("nan"), float("nan"),
                                        time.perf_counter() - start, 0, False,
                                        message=str(exc)))

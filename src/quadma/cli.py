@@ -135,6 +135,8 @@ def _cmd_solve(args) -> int:
             "residual_history": report.residual_history,
             "message": report.message,
             "linear_solves": report.linear_solves,
+            "linear_iterations": report.linear_iterations,
+            "forcing": report.forcing,
         },
         "points": grid.points.tolist(),
         "interior": grid.interior.astype(int).tolist(),

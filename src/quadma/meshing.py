@@ -1,14 +1,26 @@
 """Grid construction for the two mesh backends.
 
 Both builders follow the same recipe: lay a structured tiling over the
-domain's bounding box, keep the tiling nodes that fall strictly inside the
-domain (signed distance < 0), then walk every stencil arm of every interior
-node.  Arms whose target node is again interior keep their full tiling
-length; arms that exit the domain are shortened to the point where the ray
-crosses the boundary, and that crossing is inserted into the grid as a
-boundary point (deduplicated to a 1e-9*h tolerance).  The result is a point
-set in which every interior node has, for every stencil angle, a pair of
-exactly aligned neighbors within the stencil width.
+domain's bounding box, keep as interior nodes the tiling nodes deeper inside
+the domain than the boundary clearance (signed distance < -CLEARANCE*h),
+then walk every stencil arm of every interior node.  Arms whose target node
+is again interior keep their full tiling length; arms that exit the domain
+are shortened to the point where the ray crosses the boundary, and that
+crossing is inserted into the grid as a boundary point (deduplicated to a
+1e-9*h tolerance).  A target node inside the domain but within the clearance
+of its boundary is not interior: the arm ends there, and the node becomes a
+boundary point, where ``u = g`` as on the boundary itself.  The result is a
+point set in which every interior node has, for every stencil angle, a pair
+of exactly aligned neighbors within the stencil width, and in which every
+boundary point has signed distance in ``[-CLEARANCE*h, 0]`` up to roundoff.
+
+The clearance keeps arms long: an arm runs from signed distance below
+``-CLEARANCE*h`` to signed distance at least ``-CLEARANCE*h``, and the
+signed distance is 1-Lipschitz, so every arm is longer than ``CLEARANCE*h``.
+Without it, a node within roundoff of a curved boundary left arms of
+1e-16*h, whose difference weights ``2 / (arm * (arm + arm'))`` stalled
+Newton.  On squares no tiling node lies in the clearance band, so square
+grids are unaffected.
 
 Backends
 --------
@@ -52,13 +64,25 @@ __all__ = [
 
 MeshKind = Literal["cartesian", "hexagonal"]
 
+# Boundary clearance, in units of the grid spacing h: a tiling node is
+# interior only if its signed distance is below -CLEARANCE*h.
+CLEARANCE = 0.01
+
+# Marks, in the index maps and the stencil index arrays handed to
+# augment_boundary, a tiling node inside the domain but within the
+# clearance of its boundary (-1 marks one outside the domain or the tiling).
+NEAR_NODE = -2
+
 
 @dataclass
 class Grid:
     """Discretization points plus per-node aligned-neighbor stencils.
 
     ``points[:n_interior]`` are the interior nodes (in lexicographic
-    ``(y, x)`` order); the remaining rows are boundary points.  Stencil row
+    ``(y, x)`` order), each deeper inside the domain than ``CLEARANCE*h``;
+    the remaining rows are boundary points: boundary crossings of stencil
+    arms, and tiling nodes within the clearance, where ``u = g`` too.  Every
+    arm is longer than ``CLEARANCE*h``.  Stencil row
     ``i`` belongs to interior point ``i`` and lists, per angle ``j``, the
     indices of the aligned neighbors ``points[plus_index[i, j]] =
     x + h_plus[i, j] * (cos theta_j, sin theta_j)`` (same with a minus
@@ -107,11 +131,14 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     """Resolve stencil arms that exit the domain by inserting boundary points.
 
     On entry the index arrays hold interior point indices where the tiling
-    neighbor is interior and -1 where it is not; the arm-length arrays hold
-    the nominal tiling arm lengths (which bound the boundary crossing, since
-    the node is interior and the tiling neighbor is not).  Missing arms are
-    processed per node, per angle, plus before minus; each gets the boundary
-    crossing of its ray, deduplicated against previously inserted points.
+    neighbor is interior, ``NEAR_NODE`` where it lies inside the domain
+    within the boundary clearance, and -1 where it is outside the domain;
+    the arm-length arrays hold the nominal tiling arm lengths.  Missing arms
+    are processed per node, per angle, plus before minus.  An arm to a
+    ``NEAR_NODE`` neighbor ends at that neighbor; any other gets the
+    boundary crossing of its ray, which its nominal length bounds, since the
+    node is interior and the tiling neighbor is outside.  Either end point
+    is deduplicated against previously inserted points.
 
     Returns the full point array (interior first, boundary appended), the
     interior mask, and the completed stencil arrays.
@@ -129,7 +156,15 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
         origins = interior_points[rows]
         rays = dirs_all[cols] * sign_fac[:, None]
         brackets = np.where(signs == 0, h_plus[rows, cols], h_minus[rows, cols])
-        ts = _boundary_crossings(domain, origins, rays, brackets)
+        # An arm whose tiling neighbor lies inside the domain but within the
+        # clearance ends at that neighbor, which becomes a boundary point
+        # (u = g there); the arm keeps its full tiling length, and no
+        # crossing is sought, since the crossing lies beyond the neighbor.
+        at_node = np.where(signs == 0, plus_index[rows, cols],
+                           minus_index[rows, cols]) == NEAR_NODE
+        ts = brackets.copy()
+        cross = ~at_node
+        ts[cross] = _boundary_crossings(domain, origins[cross], rays[cross], brackets[cross])
         crossings = origins + ts[:, None] * rays
 
         inserted: list[np.ndarray] = []
@@ -169,7 +204,7 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
 
 
 def _lattice_lookup(idx_map: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Interior point index at lattice sites ``(rows, cols)``; -1 off the lattice or domain."""
+    """Entry of ``idx_map`` at lattice sites ``(rows, cols)``; -1 off the lattice."""
     ok = (rows >= 0) & (rows < idx_map.shape[0]) & (cols >= 0) & (cols < idx_map.shape[1])
     out = np.full(len(rows), -1, dtype=np.int64)
     out[ok] = idx_map[rows[ok], cols[ok]]
@@ -197,12 +232,14 @@ def cartesian_mesh(domain: ConvexDomain, n: int, K: int) -> Grid:
     ys = ymin + np.arange(ny) * h
     X, Y = np.meshgrid(xs, ys)                      # (ny, nx), row-major in y
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    inside2d = (domain.signed_distance(pts) < 0.0).reshape(ny, nx)
+    dist2d = domain.signed_distance(pts).reshape(ny, nx)
+    inside2d = dist2d < -CLEARANCE * h
     n_int = int(inside2d.sum())
     if n_int == 0:
         raise ValueError("domain contains no interior lattice points")
 
     idx_map = np.full((ny, nx), -1, dtype=np.int64)
+    idx_map[(dist2d < 0.0) & ~inside2d] = NEAR_NODE
     idx_map[inside2d] = np.arange(n_int)
     jj, ii = np.nonzero(inside2d)                   # (y, x) lexicographic order
     interior_points = np.column_stack([xs[ii], ys[jj]])
@@ -283,14 +320,17 @@ def hexagonal_mesh(domain: ConvexDomain, n: int) -> Grid:
     qq = np.concatenate(q_list)
     pts = np.column_stack([xmin + (_SQRT3 * s / 2.0) * pp, ymin + (s / 2.0) * qq])
 
-    inside = domain.signed_distance(pts) < 0.0
+    dist = domain.signed_distance(pts)
+    inside = dist < -CLEARANCE * s
     n_int = int(inside.sum())
     if n_int == 0:
         raise ValueError("domain contains no interior tiling vertices")
-    pp, qq = pp[inside], qq[inside]
-    interior_points = pts[inside]                   # (q, p) ascending = (y, x) order
 
     idx_map = np.full((qmax + 1, pmax + 1), -1, dtype=np.int64)
+    near = (dist < 0.0) & ~inside
+    idx_map[qq[near], pp[near]] = NEAR_NODE
+    pp, qq = pp[inside], qq[inside]
+    interior_points = pts[inside]                   # (q, p) ascending = (y, x) order
     idx_map[qq, pp] = np.arange(n_int)
 
     angles = hex_angles()

@@ -6,7 +6,11 @@ step, stopping once the residual falls below ``threshold_factor * h**2``.
 Each Newton step solves only for the interior unknowns (boundary rows of
 the Jacobian are identity rows), by Jacobi-preconditioned BiCGSTAB, with
 sparse LU on the whole Jacobian as the fallback; the report names the path
-each step took.  The initial guess solves a linear Dirichlet problem for
+each step took.  The step is inexact: BiCGSTAB stops at a relative residual
+``eta`` (the forcing term) chosen from the outer progress by Eisenstat and
+Walker's choice 2 (SISC 17, 1996), loose while the residual is large and
+tight as Newton closes in, while the stopping test stays on the true
+nonlinear residual.  The initial guess solves a linear Dirichlet problem for
 the discrete Laplacian with right-hand side ``sqrt(2 f)``, the
 linearization of the determinant equation around an isotropic Hessian.  A
 coarse-to-fine warm start (solve small, interpolate, then polish) is
@@ -63,9 +67,11 @@ class SolveReport:
     """Outcome of one damped Newton run.
 
     ``linear_solves`` names the path of each Newton linear solve
-    (``"bicgstab"``, ``"lu"`` or ``"lu+shift"``, see ``_solve_linear``).  It
-    has one entry per iteration, plus one for the step whose line search
-    stalled, if any.
+    (``"bicgstab"``, ``"lu"`` or ``"lu+shift"``, see ``_solve_linear``),
+    ``linear_iterations`` counts its BiCGSTAB iterations (also when the step
+    then fell back to LU) and ``forcing`` holds the relative tolerance
+    ``eta`` it was given.  Each has one entry per iteration, plus one for
+    the step whose line search stalled, if any.
     """
 
     final_residual: float
@@ -75,6 +81,8 @@ class SolveReport:
     converged: bool = False
     message: str = ""
     linear_solves: list[str] = field(default_factory=list)
+    linear_iterations: list[int] = field(default_factory=list)
+    forcing: list[float] = field(default_factory=list)
 
 
 def _laplacian_system(grid: Grid):
@@ -119,15 +127,36 @@ def poisson_init(grid: Grid, f, g) -> np.ndarray:
 # that reaches the cap falls back to the LU path.
 BICGSTAB_MAXITER = 2000
 
+# Eisenstat-Walker choice 2 (alpha = 2, gamma = 0.9) for the forcing terms:
+# eta_0 = ETA_MAX, then eta_k = gamma * (|F_k| / |F_{k-1}|)**2 in the max
+# norm, clipped to [ETA_MIN, ETA_MAX].  Their safeguard, raising eta_k to
+# gamma * eta_{k-1}**2 when that exceeds 0.1, never applies under
+# ETA_MAX = 0.1 (gamma * 0.1**2 < 0.1), so it is left out.  A smaller
+# ETA_MAX (0.01) saved Newton steps on ex4 at Cartesian n=256 but cost
+# more at n=128, so no cap was better on every case.
+ETA_MAX = 0.1
+ETA_MIN = 1e-8
+ETA_GAMMA = 0.9
 
-def _solve_linear(J: sp.csr_matrix, rhs: np.ndarray, ni: int) -> tuple[np.ndarray, str]:
-    """Solve the Newton system ``J y = rhs``; return ``(y, path)``.
+
+def _forcing_term(residual_history: list[float]) -> float:
+    """Relative BiCGSTAB tolerance of the Newton step from the last iterate."""
+    if len(residual_history) < 2:
+        return ETA_MAX
+    ratio = residual_history[-1] / residual_history[-2]
+    return max(ETA_MIN, min(ETA_MAX, ETA_GAMMA * ratio ** 2))
+
+
+def _solve_linear(J: sp.csr_matrix, rhs: np.ndarray, ni: int,
+                  rtol: float) -> tuple[np.ndarray, str, int]:
+    """Solve the Newton system ``J y = rhs``; return ``(y, path, iterations)``.
 
     The first ``ni`` unknowns are the interior nodes.  Boundary rows of
     ``J`` are identity rows, so ``y[ni:] = rhs[ni:]`` and only the interior
     block ``A = J[:ni, :ni]`` is solved, with right-hand side
-    ``rhs[:ni] - J[:ni, ni:] @ rhs[ni:]``, by Jacobi-preconditioned BiCGSTAB
-    to relative residual 1e-8 (path ``"bicgstab"``).  The scheme is
+    ``b = rhs[:ni] - J[:ni, ni:] @ rhs[ni:]``, by Jacobi-preconditioned
+    BiCGSTAB to ``|A x - b| <= rtol * |b|`` (path ``"bicgstab"``);
+    ``iterations`` counts its iterations, also when it fails.  The scheme is
     monotone, so ``A`` is an M-matrix.  If its diagonal has a zero or
     non-finite entry, or BiCGSTAB fails or returns non-finite values, the
     whole of ``J`` is factored by sparse LU (path ``"lu"``), retried once
@@ -135,17 +164,27 @@ def _solve_linear(J: sp.csr_matrix, rhs: np.ndarray, ni: int) -> tuple[np.ndarra
     """
     A = J[:ni, :ni]
     diag = A.diagonal()
+    iterations = applied = 0
     if np.all(np.isfinite(diag)) and np.all(diag != 0.0):
+        inv_diag = 1.0 / diag
+
+        def jacobi(v):
+            nonlocal applied
+            applied += 1
+            return inv_diag * v
+
         b = rhs[:ni] - J[:ni, ni:] @ rhs[ni:]
-        x, info = spla.bicgstab(A, b, rtol=1e-8, atol=0.0, maxiter=BICGSTAB_MAXITER,
-                                M=sp.diags(1.0 / diag))
+        x, info = spla.bicgstab(A, b, rtol=rtol, atol=0.0, maxiter=BICGSTAB_MAXITER,
+                                M=spla.LinearOperator(A.shape, matvec=jacobi))
+        # two preconditioner applications per iteration, one if it stops halfway
+        iterations = (applied + 1) // 2
         if info == 0 and np.all(np.isfinite(x)):
-            return np.concatenate([x, rhs[ni:]]), "bicgstab"
+            return np.concatenate([x, rhs[ni:]]), "bicgstab", iterations
 
     try:
         y = spla.splu(J.tocsc()).solve(rhs)
         if np.all(np.isfinite(y)):
-            return y, "lu"
+            return y, "lu", iterations
     except RuntimeError:
         pass
     shift = 1e-10 * spla.norm(J, np.inf)
@@ -155,13 +194,15 @@ def _solve_linear(J: sp.csr_matrix, rhs: np.ndarray, ni: int) -> tuple[np.ndarra
         raise RuntimeError("Newton Jacobian is singular even after diagonal perturbation") from exc
     if not np.all(np.isfinite(y)):
         raise RuntimeError("Newton Jacobian is singular even after diagonal perturbation")
-    return y, "lu+shift"
+    return y, "lu+shift", iterations
 
 
 def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
                   cfg: NewtonConfig = NewtonConfig()):
-    """Newton iteration with residual-decreasing backtracking.
+    """Inexact Newton iteration with residual-decreasing backtracking.
 
+    Each step's linear solve stops at the Eisenstat-Walker forcing term
+    (see ``_forcing_term``); the stopping test is on the true residual.
     Returns ``(u, report)``.  ``report.converged`` is False when the
     iteration budget runs out or the line search stalls at ``alpha_min``
     without decreasing the residual; the recorded residual history is
@@ -177,9 +218,12 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
     report = SolveReport(final_residual=rnorm, iterations=0, residual_history=[rnorm])
 
     while rnorm >= threshold and report.iterations < cfg.max_iterations:
+        eta = _forcing_term(report.residual_history)
         J = assemble_jacobian(grid, u, params)
-        step, path = _solve_linear(J, -res, grid.n_interior)
+        step, path, krylov_its = _solve_linear(J, -res, grid.n_interior, eta)
         report.linear_solves.append(path)
+        report.linear_iterations.append(krylov_its)
+        report.forcing.append(eta)
 
         alpha = 1.0
         while True:
@@ -201,7 +245,8 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
         report.residual_history.append(rnorm)
         if cfg.verbose:
             print(f"iter {report.iterations}: residual={rnorm:.6e}, alpha={alpha:.6e}, "
-                  f"linear_solve={path}", file=sys.stderr)
+                  f"linear_solve={path}, krylov_its={krylov_its}, eta={eta:.3e}",
+                  file=sys.stderr)
 
     report.final_residual = rnorm
     report.converged = rnorm < threshold

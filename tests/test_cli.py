@@ -67,6 +67,9 @@ def test_solve_writes_solution_json(tmp_path):
     assert data["problem"] == "ex2"
     assert data["report"]["converged"] is True
     assert data["report"]["linear_solves"] == ["bicgstab"] * data["report"]["iterations"]
+    assert list(data["report"])[-3:] == ["linear_solves", "linear_iterations", "forcing"]
+    assert len(data["report"]["linear_iterations"]) == len(data["report"]["forcing"]) \
+        == data["report"]["iterations"]
     assert len(data["values"]) == len(data["points"]) == len(data["interior"])
     assert data["max_error"] > 0
 
@@ -244,6 +247,7 @@ def test_config_field_reads_as_its_flag(tmp_path, command, field, value, flags, 
     ["solve", "--problem", "ex1", "--backend", "hex", "--n", "16", "--max-iterations", "-1"],
     ["solve", "--problem", "ex1", "--backend", "cartesian", "--n", "10", "--K", "5"],
     ["mesh-dump", "--backend", "cartesian", "--n", "9", "--K", "4", "--output", "grid.json"],
+    ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "10,12", "--K", "5"],
 ])
 def test_values_the_library_rejects_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadma import (ConvexDomain, build_grid, cartesian_mesh, default_stencil_depth,
                     disc, grid_to_jsonable, hexagonal_mesh, square)
+from quadma.meshing import CLEARANCE
 
 
 def _alignment_error(grid):
@@ -69,6 +72,22 @@ def test_boundary_points_on_disc():
     for g in (cartesian_mesh(d, 17, 2), hexagonal_mesh(d, 16)):
         bdry = g.points[~g.interior]
         assert np.abs(d.signed_distance(bdry)).max() <= 1e-8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       radius=st.floats(0.3, 1.5), backend=st.sampled_from(["cartesian", "hex"]),
+       n=st.integers(9, 40))
+def test_boundary_clearance_on_random_discs(center, radius, backend, n):
+    # interior nodes keep CLEARANCE*h from the boundary, so no arm is
+    # shorter; boundary points are crossings or tiling nodes within it
+    d = disc(center, radius)
+    g = build_grid(d, backend, n)
+    assert min(g.h_plus.min(), g.h_minus.min()) >= CLEARANCE * g.h
+    dist = d.signed_distance(g.points[~g.interior])
+    assert np.all(dist >= -CLEARANCE * g.h)
+    assert np.all(dist <= 1e-8 * g.h)
+    assert np.all(d.signed_distance(g.points[g.interior]) < -CLEARANCE * g.h)
 
 
 def test_hex_structure(hex_grid):

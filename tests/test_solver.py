@@ -1,10 +1,15 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from quadma import (BenchmarkProblem, NewtonConfig, assemble_jacobian, build_grid,
-                    coarse_to_fine, damped_newton, default_params, ex1, ex4, max_error,
-                    poisson_init, scheme_apply, solve_problem, square)
+                    coarse_to_fine, damped_newton, default_params, disc, ex1, ex4, max_error,
+                    poisson_init, scheme_apply, solve_problem, square, solver)
+from quadma.meshing import CLEARANCE
 from quadma.solver import _laplacian_system, _solve_linear
 
 
@@ -106,7 +111,7 @@ def _mid_newton_system(backend, n, K=None):
 def test_solve_linear_krylov_matches_lu(backend, n, K):
     grid, J, rhs = _mid_newton_system(backend, n, K)
     ni = grid.n_interior
-    y, path = _solve_linear(J, rhs, ni)
+    y, path, _ = _solve_linear(J, rhs, ni, 1e-8)
     assert path == "bicgstab"
     assert np.array_equal(y[ni:], rhs[ni:])
     y_lu = spla.splu(J.tocsc()).solve(rhs)
@@ -117,14 +122,15 @@ def test_solve_linear_zero_row_falls_back_to_shifted_lu():
     grid, J, rhs = _mid_newton_system("hex", 16)
     J = J.tolil()
     J[0, :] = 0.0  # an interior row: zero diagonal, singular matrix
-    y, path = _solve_linear(J.tocsr(), rhs, grid.n_interior)
+    y, path, iterations = _solve_linear(J.tocsr(), rhs, grid.n_interior, 1e-8)
     assert path == "lu+shift"
+    assert iterations == 0  # a zero diagonal skips BiCGSTAB
     assert np.all(np.isfinite(y))
 
 
 @pytest.mark.parametrize("make, iterations, alphas, error", [
     (ex1, 6, [0.25, 0.25, 1.0, 1.0, 1.0, 1.0], 7.0337e-3),
-    (ex4, 9, [1.0, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0], 6.8969e-3),
+    (ex4, 10, [1.0, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0], 6.8945e-3),
 ], ids=["ex1", "ex4"])
 def test_newton_history_cartesian_n72_k5(make, iterations, alphas, error):
     prob = make()
@@ -145,6 +151,7 @@ def test_newton_verbose_logs_to_stderr(capsys):
     err = capsys.readouterr().err
     assert "iter 1: residual=" in err and "alpha=" in err
     assert "linear_solve=bicgstab" in err
+    assert "krylov_its=" in err and "eta=1.000e-01" in err
 
 
 def test_newton_rejects_nonfinite_start(cart_grid, zeros):
@@ -210,3 +217,59 @@ def test_solve_on_disc_domain():
         u, rep = damped_newton(grid, params, prob.f, prob.g, u0)
         assert rep.converged
         assert max_error(grid, u, prob) < 0.05
+
+
+@pytest.mark.parametrize("make", [ex1, ex4], ids=["ex1", "ex4"])
+@pytest.mark.parametrize("backend,n", [("cartesian", 40), ("hex", 32)])
+def test_inexact_steps_meet_their_forcing_terms(monkeypatch, make, backend, n):
+    steps = []
+
+    def recorded(J, rhs, ni, rtol):
+        y, path, iterations = _solve_linear(J, rhs, ni, rtol)
+        steps.append((J, rhs, ni, rtol, y, path))
+        return y, path, iterations
+
+    monkeypatch.setattr(solver, "_solve_linear", recorded)
+    prob = make()
+    grid, values, report, params = solve_problem(prob, backend, n)
+    assert report.converged
+    assert report.forcing == [rtol for _, _, _, rtol, _, _ in steps]
+    assert len(report.linear_iterations) == len(steps) == report.iterations
+    assert all(1e-8 <= eta <= 0.1 for eta in report.forcing)
+    assert report.forcing[0] == 0.1
+    for J, rhs, ni, eta, y, path in steps:
+        assert path == "bicgstab"
+        b = rhs[:ni] - J[:ni, ni:] @ rhs[ni:]
+        assert np.linalg.norm((J @ y - rhs)[:ni]) <= eta * np.linalg.norm(b)
+    residual = np.abs(scheme_apply(grid, values, params, prob.f, prob.g)).max()
+    assert residual < grid.h ** 2
+
+
+def _bench_error_bound(case_args, grid):
+    """The benchmark's error bound for a disc case (``bench/workloads.py``)."""
+    workloads = sys.modules.get("bench_workloads")
+    if workloads is None:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # its dataclasses resolve names through it
+        spec.loader.exec_module(workloads)
+    case = workloads.Case(*case_args)
+    return workloads.error_bound(case, grid, workloads.load_bounds())
+
+
+@pytest.mark.parametrize("center,radius,backend,n", [
+    ((0.1, 0.03), 0.77, "cartesian", 51),
+    ((0.0, 0.0), 1.0, "cartesian", 79),
+    ((-0.10832411072436261, -0.011629459537142173), 0.9166741524175653, "hex", 80),
+])
+def test_tiny_arm_discs_converge(center, radius, backend, n):
+    # Without the boundary clearance these grids had arms of 2e-16*h to
+    # 5e-15*h, and Newton stalled or ran out of iterations on them.
+    base = ex1()
+    prob = BenchmarkProblem("ex1-disc", disc(center, radius), base.u_exact, base.f, base.g)
+    grid, values, report, _ = solve_problem(prob, backend, n)
+    assert report.converged, report.message
+    assert min(grid.h_plus.min(), grid.h_minus.min()) >= CLEARANCE * grid.h
+    bound = _bench_error_bound(("ex1", backend, n, None, False, (*center, radius)), grid)
+    assert max_error(grid, values, prob) <= bound
