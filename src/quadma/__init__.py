@@ -13,7 +13,7 @@ from .benchmarks import (BENCHMARKS, BenchmarkProblem, ConvergenceRow, StudyResu
                          solve_problem)
 from .domains import ConvexDomain, boundary_intersection, disc, make_domain, rectangle, square
 from .meshing import (Grid, build_grid, cartesian_mesh, default_stencil_depth,
-                      grid_to_jsonable, hexagonal_mesh)
+                      grid_diagnostics, grid_to_jsonable, hexagonal_mesh)
 from .operator import (SchemeParams, assemble_jacobian, default_epsilon, default_params,
                        scheme_apply, sdd_matrix)
 from .quadrature import QuadratureRule, integrate, simpson_weights, trapezoid_weights
@@ -27,7 +27,7 @@ __all__ = [
     "QuadratureRule", "trapezoid_weights", "simpson_weights", "integrate",
     "ConvexDomain", "rectangle", "square", "disc", "make_domain", "boundary_intersection",
     "Grid", "cartesian_mesh", "hexagonal_mesh", "build_grid", "default_stencil_depth",
-    "grid_to_jsonable",
+    "grid_to_jsonable", "grid_diagnostics",
     "SchemeParams", "default_epsilon", "default_params", "sdd_matrix",
     "scheme_apply", "assemble_jacobian",
     "NewtonConfig", "SolveReport", "poisson_init", "damped_newton", "coarse_to_fine",

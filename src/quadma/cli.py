@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -22,7 +23,7 @@ import numpy as np
 from .angles import l1_angles
 from .benchmarks import BENCHMARKS, convergence_study, max_error, solve_problem
 from .domains import make_domain
-from .meshing import build_grid, grid_to_jsonable
+from .meshing import build_grid, grid_diagnostics, grid_to_jsonable
 from .quadrature import simpson_weights, trapezoid_weights
 from .solver import NewtonConfig
 
@@ -50,6 +51,17 @@ def _write_json(path: str, payload) -> None:
 def _fail_config(message: str) -> None:
     print(f"quadma: config error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads every negative decimal literal, as
+    ``-1e-05`` too, as a value: argparse's own pattern misses exponent
+    notation and takes such a token for an unknown option.  Subcommand
+    parsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def grid_size(text: str) -> int:
@@ -218,14 +230,16 @@ def _cmd_mesh_dump(args) -> int:
     shape = {key: getattr(args, key) for key in ("lower_left", "side", "center", "radius")
              if getattr(args, key) is not None}
     grid = build_grid(make_domain(args.domain, **shape), args.backend, args.n, args.K)
-    _write_json(args.output, grid_to_jsonable(grid))
-    print(f"wrote {grid.n_points} points ({grid.n_interior} interior) to {args.output}")
+    diagnostics = grid_diagnostics(grid)
+    _write_json(args.output, {**grid_to_jsonable(grid), "diagnostics": diagnostics})
+    print(f"wrote {grid.n_points} points ({grid.n_interior} interior) to {args.output}; "
+          f"min arm/h = {diagnostics['min_arm_ratio']:.6g}")
     return 0
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The ``quadma`` parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadma",
         description="Monotone quadrature-based finite difference solvers for the "
                     "2D Monge-Ampere equation.")

@@ -166,13 +166,20 @@ def _boundary_crossings(domain: ConvexDomain, origins, directions, brackets, ite
     per ray, an upper bound on the crossing distance at which the signed
     distance is already nonnegative.  Used by :func:`boundary_intersection`
     and by the mesh builders, where the bracket is the nominal stencil arm
-    length; 80 halvings take any bracket below double-precision resolution.
+    length.  Halving stops at the fixed point, the first pass that changes
+    no ``lo`` and no ``hi`` (every later pass would repeat it, so the result
+    is the same bit for bit), and after ``iterations`` passes at most: 80
+    take any bracket below double-precision resolution, while the mesh
+    builders' brackets reach the fixed point in 54 to 62 passes.
     """
     lo = np.zeros(len(brackets))
     hi = np.asarray(brackets, dtype=float).copy()
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         inside = domain.signed_distance(origins + mid[:, None] * directions) < 0.0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+        new_lo = np.where(inside, mid, lo)
+        new_hi = np.where(inside, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)

@@ -1,4 +1,7 @@
-"""Analytic reference values that the tests compare the scheme against."""
+"""Analytic reference values and reference implementations that the tests
+compare the library against."""
+
+import math
 
 import numpy as np
 
@@ -17,3 +20,66 @@ def regularized_det_reference(hessian, epsilon: float, rule) -> float:
     utt = m[0, 0] * c ** 2 + 2.0 * m[0, 1] * c * s + m[1, 1] * s ** 2
     total = rule.weights @ (1.0 / np.maximum(utt, epsilon)) / np.pi
     return float(total ** -2.0)
+
+
+def boundary_crossings_reference(domain, origins, directions, brackets, iterations=80):
+    """Plain bisection of every ray: exactly ``iterations`` halvings."""
+    lo = np.zeros(len(brackets))
+    hi = np.asarray(brackets, dtype=float).copy()
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        inside = domain.signed_distance(origins + mid[:, None] * directions) < 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def augment_boundary_reference(domain, interior_points, angles, plus_index, minus_index,
+                               h_plus, h_minus, *, dedup_tol):
+    """``meshing.augment_boundary`` with its end points merged one at a time.
+
+    Bisects every missing arm by :func:`boundary_crossings_reference`, then
+    merges the end points in arm order, greedily, first come first served,
+    into the boundary points inserted so far: a hash grid of ``dedup_tol``
+    cells finds any within ``dedup_tol`` in the max norm, and the end point
+    takes the first one found or is appended.
+    """
+    from quadma.meshing import NEAR_NODE
+
+    interior_points = np.asarray(interior_points, dtype=float)
+    n_int = len(interior_points)
+    missing = np.stack([plus_index < 0, minus_index < 0], axis=2)
+    rows, cols, signs = np.nonzero(missing)
+    rays = angles.directions()[cols] * np.where(signs == 0, 1.0, -1.0)[:, None]
+    ts = np.where(signs == 0, h_plus[rows, cols], h_minus[rows, cols])
+    cross = np.where(signs == 0, plus_index[rows, cols], minus_index[rows, cols]) != NEAR_NODE
+    origins = interior_points[rows]
+    ts[cross] = boundary_crossings_reference(domain, origins[cross], rays[cross], ts[cross])
+    crossings = origins + ts[:, None] * rays
+
+    inserted = []
+    cells = {}
+
+    def lookup_or_insert(pt) -> int:
+        cx = int(math.floor(pt[0] / dedup_tol))
+        cy = int(math.floor(pt[1] / dedup_tol))
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                k = cells.get((cx + dx, cy + dy))
+                if k is not None and abs(inserted[k][0] - pt[0]) <= dedup_tol \
+                        and abs(inserted[k][1] - pt[1]) <= dedup_tol:
+                    return k
+        k = len(inserted)
+        inserted.append(pt)
+        cells[(cx, cy)] = k
+        return k
+
+    for m in range(len(rows)):
+        index, arm = (plus_index, h_plus) if signs[m] == 0 else (minus_index, h_minus)
+        index[rows[m], cols[m]] = n_int + lookup_or_insert(crossings[m])
+        arm[rows[m], cols[m]] = ts[m]
+
+    points = np.vstack([interior_points, np.array(inserted).reshape(-1, 2)])
+    interior = np.zeros(len(points), dtype=bool)
+    interior[:n_int] = True
+    return points, interior, plus_index, minus_index, h_plus, h_minus

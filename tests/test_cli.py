@@ -81,7 +81,7 @@ def test_solve_exit_code_on_failure(tmp_path):
     assert code == 1
 
 
-def test_mesh_dump(tmp_path):
+def test_mesh_dump(tmp_path, capsys):
     out = tmp_path / "grid.json"
     code = main(["mesh-dump", "--backend", "cartesian", "--n", "12", "--K", "2",
                  "--domain", "disc", "--center", "0", "0", "--radius", "1",
@@ -92,6 +92,45 @@ def test_mesh_dump(tmp_path):
     assert set(data["stencil"]) == {"interior_index", "plus_index", "minus_index",
                                     "h_plus", "h_minus"}
     assert len(data["points"]) == len(data["interior"])
+    assert list(data) == ["kind", "h", "r", "params", "angles", "points", "interior",
+                          "stencil", "diagnostics"]
+    diagnostics = data["diagnostics"]
+    assert diagnostics["boundary_points"] == data["interior"].count(0)
+    assert diagnostics["clearance"] == 0.01
+    stencil = data["stencil"]
+    min_arm = min(min(map(min, stencil["h_plus"])), min(map(min, stencil["h_minus"])))
+    assert diagnostics["min_arm_ratio"] == min_arm / data["h"]
+    assert diagnostics["min_arm_ratio"] >= diagnostics["clearance"]
+    assert f"min arm/h = {diagnostics['min_arm_ratio']:.6g}" in capsys.readouterr().out
+
+
+def test_negative_numbers_in_exponent_notation(tmp_path, capsys):
+    # argparse's own negative-number pattern misses "-1e-05" and took it
+    # for an option; a config pair becomes the same tokens
+    out = tmp_path / "grid.json"
+    base = ["mesh-dump", "--backend", "hex", "--n", "12", "--output", str(out)]
+    args = _parse_args([*base, "--domain", "disc", "--center", "-1e-05", "0"])
+    assert args.center == [-1e-05, 0.0]
+    args = _parse_args([*base, "--lower-left", "-2.5E-3", "-1e+00", "--side", "-1e-3"])
+    assert (args.lower_left, args.side) == ([-2.5e-3, -1.0], -1e-3)
+    assert _parse_args(["solve", "--problem", "ex1", "--backend", "hex", "--n", "12",
+                        "--epsilon", "-1e-05"]).epsilon == -1e-05
+    assert _parse_args(["study", "--problem", "ex1", "--backend", "hex", "--n", "12",
+                        "--c-K", "-5e-1"]).c_K == -0.5
+    assert main([*base, "--domain", "disc", "--center", "-1e-05", "0"]) == 0
+    from_flags = out.read_text()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": "disc", "center": [-1e-05, 0]}))
+    assert main([*base, "--config", str(cfg)]) == 0
+    assert out.read_text() == from_flags
+    # an unknown option is still one
+    capsys.readouterr()
+    for extra, message in ((["--centre", "-1e-05", "0"], "unrecognized arguments: --centre"),
+                           (["--center", "-1e-05", "-e5"], "--center: expected 2 arguments")):
+        with pytest.raises(SystemExit) as exc:
+            main([*base, "--domain", "disc", *extra])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_mesh_dump_never_drops_domain_values(tmp_path, capsys):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import augment_boundary_reference, boundary_crossings_reference
 from quadma import (ConvexDomain, build_grid, cartesian_mesh, default_stencil_depth,
-                    disc, grid_to_jsonable, hexagonal_mesh, square)
+                    disc, grid_diagnostics, grid_to_jsonable, hex_angles, hexagonal_mesh,
+                    meshing, rectangle, square)
+from quadma.domains import _boundary_crossings
 from quadma.meshing import CLEARANCE
 
 
@@ -79,15 +82,140 @@ def test_boundary_points_on_disc():
        radius=st.floats(0.3, 1.5), backend=st.sampled_from(["cartesian", "hex"]),
        n=st.integers(9, 40))
 def test_boundary_clearance_on_random_discs(center, radius, backend, n):
+    _assert_clearance(disc(center, radius), backend, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lower_left=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       width=st.floats(0.5, 2.0), aspect=st.floats(0.3, 3.0),
+       backend=st.sampled_from(["cartesian", "hex"]), n=st.integers(9, 40))
+def test_boundary_clearance_on_random_rectangles(lower_left, width, aspect, backend, n):
+    _assert_clearance(rectangle(lower_left, (width, aspect * width)), backend, n)
+
+
+def _assert_clearance(domain, backend, n):
     # interior nodes keep CLEARANCE*h from the boundary, so no arm is
     # shorter; boundary points are crossings or tiling nodes within it
-    d = disc(center, radius)
-    g = build_grid(d, backend, n)
-    assert min(g.h_plus.min(), g.h_minus.min()) >= CLEARANCE * g.h
-    dist = d.signed_distance(g.points[~g.interior])
+    g = build_grid(domain, backend, n)
+    assert grid_diagnostics(g)["min_arm_ratio"] >= CLEARANCE
+    dist = domain.signed_distance(g.points[~g.interior])
     assert np.all(dist >= -CLEARANCE * g.h)
     assert np.all(dist <= 1e-8 * g.h)
-    assert np.all(d.signed_distance(g.points[g.interior]) < -CLEARANCE * g.h)
+    assert np.all(domain.signed_distance(g.points[g.interior]) < -CLEARANCE * g.h)
+
+
+def _assert_same_grid_as_reference(domain, backend, n, K=None):
+    grid = build_grid(domain, backend, n, K)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshing, "augment_boundary", augment_boundary_reference)
+        ref = build_grid(domain, backend, n, K)
+    for name in ("points", "interior", "plus_index", "minus_index", "h_plus", "h_minus"):
+        assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
+
+
+_domains = st.one_of(
+    st.builds(square, st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+              st.floats(0.5, 2.0)),
+    st.builds(lambda ll, w, a: rectangle(ll, (w, a * w)),
+              st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+              st.floats(0.5, 2.0), st.floats(0.3, 3.0)),
+    st.builds(disc, st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+              st.floats(0.3, 1.5)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(domain=_domains, backend=st.sampled_from(["cartesian", "hex"]),
+       n=st.integers(9, 48), K=st.one_of(st.none(), st.integers(1, 6)))
+def test_boundary_dedup_matches_reference(domain, backend, n, K):
+    # the vectorized merge of arm end points builds the same grid, bit for
+    # bit, as merging them one at a time
+    if K is not None:
+        K = min(K, (n - 3) // 2)   # a Cartesian grid needs n >= 2K + 3
+    _assert_same_grid_as_reference(domain, backend, n, K)
+
+
+@pytest.mark.parametrize("domain,backend,n,K", [
+    (square((-1.0, -1.0), 2.0), "cartesian", 72, 5),   # the grid of ex1 and ex4 at n=72, K=5
+    (square((0.0, 0.0), 1.0), "cartesian", 72, 5),
+    (disc((0.1, 0.03), 0.77), "cartesian", 51, None),
+    (disc((0.0, 0.0), 1.0), "cartesian", 79, None),
+    (disc((-0.10832411072436261, -0.011629459537142173), 0.9166741524175653), "hex", 80, None),
+])
+def test_boundary_dedup_matches_reference_on_fixed_grids(domain, backend, n, K):
+    _assert_same_grid_as_reference(domain, backend, n, K)
+
+
+def test_boundary_dedup_tolerance_and_chains():
+    # arms at angle 0 that end at tiling nodes within the clearance put
+    # their end points exactly at origin + (t, 0); no bisection runs
+    tol = 1e-3
+    ends = np.array([[1.0, 0.0], [1.0 + 0.8 * tol, 0.0], [1.0 + 1.6 * tol, 0.0],
+                     [2.0, 0.0], [2.0 + 1.2 * tol, 0.5 * tol], [2.0, 0.9 * tol]])
+    interior_points = np.column_stack([np.zeros(len(ends)), ends[:, 1]])
+    angles = hex_angles()
+    full = np.zeros((len(ends), len(angles)), dtype=np.int64)
+    plus_index, h_plus = full.copy(), np.ones(full.shape)
+    plus_index[:, 0] = meshing.NEAR_NODE
+    h_plus[:, 0] = ends[:, 0]
+
+    def augment(fn):
+        return fn(square((0.0, -1.0), 3.0), interior_points, angles, plus_index.copy(),
+                  full.copy(), h_plus.copy(), np.ones(full.shape), dedup_tol=tol)
+
+    n = len(ends)
+    points, _, index, *_ = augment(meshing.augment_boundary)
+    # {0, 1, 2} is one chain, {3, 5} one pair; groups numbered by first end point
+    assert np.array_equal(index[:, 0] - n, [0, 0, 0, 1, 2, 1])
+    assert np.array_equal(points[n:], ends[[0, 3, 4]])
+    # merging greedily, first come first served, splits the chain: point 2 is
+    # more than tol from point 0, the one stored
+    _, _, greedy, *_ = augment(augment_boundary_reference)
+    assert np.array_equal(greedy[:, 0] - n, [0, 0, 1, 2, 3, 2])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from(["disc", "rectangle"]),
+       lower_left=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       size=st.floats(0.3, 2.0), aspect=st.floats(0.3, 3.0), h=st.floats(1e-3, 0.2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_boundary_crossings_match_plain_bisection(shape, lower_left, size, aspect, h, seed):
+    # stopping at the fixed point gives the same crossings, bit for bit,
+    # as all 80 halvings; rays start anywhere inside, or within
+    # CLEARANCE*h of the boundary and head out, and brackets are arm
+    # lengths or twice the diameter, as boundary_intersection uses
+    rng = np.random.default_rng(seed)
+    if shape == "disc":
+        center = np.array(lower_left)
+        domain = disc(lower_left, size)
+        phi = rng.uniform(0.0, 2.0 * np.pi, 100)
+        normal = np.column_stack([np.cos(phi), np.sin(phi)])
+        on_boundary = center + size * normal
+    else:
+        domain = rectangle(lower_left, (size, aspect * size))
+        x0, x1, y0, y1 = domain.bounding_box
+        side = rng.integers(0, 4, 100)
+        normal = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])[side]
+        u = rng.uniform(0.01, 0.99, 100)
+        on_boundary = np.where((side < 2)[:, None],
+                               np.column_stack([np.where(side == 0, x0, x1), y0 + u * (y1 - y0)]),
+                               np.column_stack([x0 + u * (x1 - x0), np.where(side == 2, y0, y1)]))
+    near = on_boundary - rng.uniform(1e-3, 1.0, 100)[:, None] * CLEARANCE * h * normal
+    tilt = rng.uniform(-1.0, 1.0, 100)
+    out = normal + tilt[:, None] * normal[:, ::-1] * np.array([-1.0, 1.0])
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    x0, x1, y0, y1 = domain.bounding_box
+    anywhere = np.column_stack([rng.uniform(x0, x1, 400), rng.uniform(y0, y1, 400)])
+    phi = rng.uniform(0.0, 2.0 * np.pi, 400)
+    origins = np.vstack([near, anywhere])
+    directions = np.vstack([out, np.column_stack([np.cos(phi), np.sin(phi)])])
+    keep = domain.signed_distance(origins) < 0.0
+    origins, directions = origins[keep], directions[keep]
+    brackets = np.full(len(origins), 2.0 * domain.diameter)
+    arm = domain.signed_distance(origins + h * directions) >= 0.0
+    brackets[arm] = h
+    assert arm.any()
+    got = _boundary_crossings(domain, origins, directions, brackets)
+    assert np.array_equal(got, boundary_crossings_reference(domain, origins, directions, brackets))
 
 
 def test_hex_structure(hex_grid):
