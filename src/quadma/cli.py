@@ -153,6 +153,11 @@ def _cmd_solve(args) -> int:
         "points": grid.points.tolist(),
         "interior": grid.interior.astype(int).tolist(),
         "values": values.tolist(),
+        "diagnostics": {
+            **grid_diagnostics(grid),
+            "quasi_uniformity": grid.angles.quasi_uniformity,
+            "min_quadrature_weight": float(params.quadrature.weights.min()),
+        },
     }
     if args.output:
         _write_json(args.output, payload)

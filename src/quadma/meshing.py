@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from functools import cached_property
+from typing import Literal, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -79,6 +80,25 @@ CLEARANCE = 0.01
 # augment_boundary, a tiling node inside the domain but within the
 # clearance of its boundary (-1 marks one outside the domain or the tiling).
 NEAR_NODE = -2
+
+
+class StencilPattern(NamedTuple):
+    """Sparsity of the stencil rows, split at the first boundary column.
+
+    An entry's value is gathered from the stencil data
+    ``concat((G*cp).ravel(), (G*cm).ravel(), diagonal)``: plus arms, minus
+    arms, then the interior centers.  The interior block is CSR with the
+    columns sorted within each row (no two arms of a node end at the same
+    interior node).  The coupling to the boundary points, which a solve
+    needs once, is kept as triplets.
+    """
+
+    indptr: np.ndarray            # (Ni + 1,) int32
+    indices: np.ndarray           # interior block columns, int32
+    gather: np.ndarray            # data slot of each interior block entry
+    boundary_rows: np.ndarray     # boundary coupling: row,
+    boundary_cols: np.ndarray     # column minus Ni,
+    boundary_gather: np.ndarray   # and data slot
 
 
 @dataclass
@@ -127,6 +147,27 @@ class Grid:
     @property
     def n_interior(self) -> int:
         return self.plus_index.shape[0]
+
+    @cached_property
+    def stencil_pattern(self) -> StencilPattern:
+        ni, m = self.plus_index.shape
+        cols = np.hstack([self.plus_index, self.minus_index, np.arange(ni)[:, None]])
+        arm = np.arange(ni * m).reshape(ni, m)
+        slots = np.hstack([arm, ni * m + arm, 2 * ni * m + np.arange(ni)[:, None]])
+        boundary = cols >= ni
+        # boundary columns are the largest, so they sort to the end of each row
+        order = np.argsort(cols, axis=1)
+        interior = ~np.take_along_axis(boundary, order, axis=1)
+        # int32 indices, the type scipy picks for them, so that matrices
+        # share these arrays instead of converting a copy on every build
+        pattern = StencilPattern(
+            np.concatenate([[0], np.cumsum(interior.sum(axis=1))]).astype(np.int32),
+            np.take_along_axis(cols, order, axis=1)[interior].astype(np.int32),
+            np.take_along_axis(slots, order, axis=1)[interior],
+            np.nonzero(boundary)[0], cols[boundary] - ni, slots[boundary])
+        for array in pattern:
+            array.flags.writeable = False
+        return pattern
 
     def __repr__(self) -> str:
         return (f"Grid({self.kind}, {self.n_points} points, "

@@ -17,6 +17,9 @@ Both terms are nonincreasing in each neighbor value and nondecreasing in
 the center value, so the scheme is monotone; the Jacobian assembly
 differentiates the branch active at the current iterate (ties resolved
 toward the constant ``eps`` branch), the standard semismooth convention.
+The Jacobian is assembled on the interior unknowns only, an M-matrix by
+monotonicity, on a sparsity pattern each grid computes once; every step
+refills only its values.
 """
 
 from __future__ import annotations
@@ -79,21 +82,37 @@ def sdd_matrix(grid: Grid, u: np.ndarray) -> np.ndarray:
     return grid.cp * (u[grid.plus_index] - uc) + grid.cm * (u[grid.minus_index] - uc)
 
 
-def _stencil_matrix(grid: Grid, G: np.ndarray) -> sp.coo_matrix:
-    """Sparse matrix with interior rows ``sum_j G[:, j] * D_j`` and identity boundary rows.
+def _stencil_data(grid: Grid, G: np.ndarray) -> np.ndarray:
+    """Entries ``concat((G*cp).ravel(), (G*cm).ravel(), diagonal)`` of the
+    rows ``sum_j G[:, j] * D_j``, which ``grid.stencil_pattern`` gathers."""
+    return np.concatenate([(G * grid.cp).ravel(), (G * grid.cm).ravel(),
+                           -(G * (grid.cp + grid.cm)).sum(axis=1)])
 
-    ``G`` has one coefficient per interior node and angle (or broadcasts to
-    that shape).  With ``G <= 0`` the interior rows have nonpositive
-    off-diagonals and zero row sums; with ``G >= 0`` the signs mirror.
+
+def _interior_block(grid: Grid, data: np.ndarray) -> sp.csr_matrix:
+    """The interior block of the stencil rows, sharing the grid's pattern."""
+    ni = grid.n_interior
+    pattern = grid.stencil_pattern
+    return sp.csr_matrix((data[pattern.gather], pattern.indices, pattern.indptr), shape=(ni, ni))
+
+
+def _stencil_matrix(grid: Grid, G: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Interior rows ``sum_j G[:, j] * D_j``, split into ``(A, B)``.
+
+    ``A`` is the interior block and ``B`` the coupling to the boundary
+    points, so the rows applied to a grid function ``v`` are
+    ``A @ v[:ni] + B @ v[ni:]``.  ``G`` has one coefficient per interior
+    node and angle (or broadcasts to that shape).  With ``G <= 0`` the rows
+    have nonpositive off-diagonals and zero row sums; with ``G >= 0`` the
+    signs mirror.
     """
     ni = grid.n_interior
-    n = grid.n_points
-    # plus arms, minus arms, then the diagonal (interior centers, boundary identity)
-    rows = np.concatenate([np.tile(np.repeat(np.arange(ni), len(grid.angles)), 2), np.arange(n)])
-    cols = np.concatenate([grid.plus_index.ravel(), grid.minus_index.ravel(), np.arange(n)])
-    data = np.concatenate([(G * grid.cp).ravel(), (G * grid.cm).ravel(),
-                           -(G * (grid.cp + grid.cm)).sum(axis=1), np.ones(n - ni)])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n))
+    pattern = grid.stencil_pattern
+    data = _stencil_data(grid, G)
+    B = sp.csr_matrix((data[pattern.boundary_gather],
+                       (pattern.boundary_rows, pattern.boundary_cols)),
+                      shape=(ni, grid.n_points - ni))
+    return _interior_block(grid, data), B
 
 
 def scheme_apply(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> np.ndarray:
@@ -120,15 +139,14 @@ def scheme_apply(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> np.nd
     return res
 
 
-def assemble_jacobian(grid: Grid, u: np.ndarray, params: SchemeParams) -> sp.csr_matrix:
-    """Generalized Jacobian of :func:`scheme_apply` at ``u``.
+def _jacobian_coefficients(grid: Grid, u: np.ndarray, params: SchemeParams) -> np.ndarray:
+    """``dF/dD_j`` at every interior node and angle, on the active branches.
 
-    Rows of boundary points are identity rows.  At interior nodes the
-    derivative follows the active branches: angles with ``D_j > eps``
-    contribute through the quadrature sum, and the minimum term contributes
-    ``-1`` through its (first) attaining angle when the minimum lies below
-    ``eps``.  At ties (``D_j == eps``) the constant branch is chosen, so
-    the result is an element of the subdifferential.
+    Angles with ``D_j > eps`` contribute through the quadrature sum, and
+    the minimum term contributes ``-1`` through its (first) attaining angle
+    when the minimum lies below ``eps``.  At ties (``D_j == eps``) the
+    constant branch is chosen, so the result is an element of the
+    subdifferential.
     """
     u = np.asarray(u, dtype=float)
     eps = params.epsilon
@@ -138,9 +156,22 @@ def assemble_jacobian(grid: Grid, u: np.ndarray, params: SchemeParams) -> sp.csr
     Dmax = np.maximum(D, eps)
     S = (1.0 / Dmax) @ w / np.pi
 
-    # dF/dD_j: quadrature part (active where D_j > eps) ...
     G = np.where(D > eps, -(2.0 * S ** -3.0)[:, None] * (w / np.pi) / Dmax ** 2, 0.0)
-    # ... plus the minimum term through its attaining angle.
-    active_min = D.min(axis=1) < eps
-    G[np.flatnonzero(active_min), D[active_min].argmin(axis=1)] -= 1.0
-    return _stencil_matrix(grid, G).tocsr()
+    j = D.argmin(axis=1)
+    active = np.flatnonzero(D[np.arange(len(j)), j] < eps)
+    G[active, j[active]] -= 1.0
+    return G
+
+
+def assemble_jacobian(grid: Grid, u: np.ndarray, params: SchemeParams) -> sp.csr_matrix:
+    """Generalized Jacobian of :func:`scheme_apply` at ``u`` in the interior unknowns.
+
+    Returns the interior block ``A``, ``ni x ni``: the boundary values are
+    the Dirichlet data, so a Newton step leaves them fixed and their
+    coupling (``_stencil_matrix(grid, G)[1]``) is not built.  At interior
+    nodes the derivative follows the branches active at ``u`` (see
+    ``_jacobian_coefficients``).  The index arrays are the grid's
+    read-only ``stencil_pattern``: copy the matrix before changing its
+    structure in place (``eliminate_zeros``, say).
+    """
+    return _interior_block(grid, _stencil_data(grid, _jacobian_coefficients(grid, u, params)))

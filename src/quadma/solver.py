@@ -3,13 +3,14 @@
 The nonlinear system is solved by Newton's method with a backtracking step
 length chosen so the max-norm residual strictly decreases at every accepted
 step, stopping once the residual falls below ``threshold_factor * h**2``.
-Each Newton step solves only for the interior unknowns (boundary rows of
-the Jacobian are identity rows), by Jacobi-preconditioned BiCGSTAB, with
-sparse LU on the whole Jacobian as the fallback; the report names the path
-each step took.  The step is inexact: BiCGSTAB stops at a relative residual
-``eta`` (the forcing term) chosen from the outer progress by Eisenstat and
-Walker's choice 2 (SISC 17, 1996), loose while the residual is large and
-tight as Newton closes in, while the stopping test stays on the true
+The boundary values are set to the Dirichlet data at entry and never move,
+so each Newton step solves only for the interior unknowns: the interior
+block of the Jacobian, by Jacobi-preconditioned BiCGSTAB, with sparse LU on
+the same block as the fallback; the report names the path each step took.
+The step is inexact: BiCGSTAB stops at a relative residual ``eta`` (the
+forcing term) chosen from the outer progress by Eisenstat and Walker's
+choice 2 (SISC 17, 1996), loose while the residual is large and tight as
+Newton closes in, while the stopping test stays on the true
 nonlinear residual.  The initial guess solves a linear Dirichlet problem for
 the discrete Laplacian with right-hand side ``sqrt(2 f)``, the
 linearization of the determinant equation around an isotropic Hessian.  A
@@ -85,8 +86,8 @@ class SolveReport:
     forcing: list[float] = field(default_factory=list)
 
 
-def _laplacian_system(grid: Grid):
-    """Sparse discrete Laplacian: identity rows at boundary points.
+def _laplacian_coefficients(grid: Grid) -> np.ndarray:
+    """Per-angle weights of the second differences that sum to the Laplacian.
 
     On Cartesian grids the Laplacian is the sum of the second differences
     along the axis angles (0 and pi/2).  On hexagonal grids it uses the
@@ -99,27 +100,39 @@ def _laplacian_system(grid: Grid):
         lam = np.zeros(len(grid.angles))
         lam[np.argmin(np.abs(grid.angles.angles))] = 1.0
         lam[np.argmin(np.abs(grid.angles.angles - np.pi / 2))] = 1.0
-    else:
-        lam = 2.0 * trapezoid_weights(grid.angles).weights / np.pi
+        return lam
+    return 2.0 * trapezoid_weights(grid.angles).weights / np.pi
 
-    lap = _stencil_matrix(grid, lam).tocsc()
-    lap.eliminate_zeros()
-    return lap
+
+def _laplacian_system(grid: Grid) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """Discrete Laplacian ``(A, B)`` at the interior nodes, as ``_stencil_matrix``.
+
+    ``A``, the interior block, is CSC without stored zeros, ready for a
+    direct solve; ``B`` couples the interior rows to the boundary values.
+    """
+    A, B = _stencil_matrix(grid, _laplacian_coefficients(grid))
+    # the unused Cartesian angles leave stored zeros, which slow the
+    # factorization down many times over; tocsc also copies the shared pattern
+    A = A.tocsc()
+    A.eliminate_zeros()
+    return A, B
 
 
 def poisson_init(grid: Grid, f, g) -> np.ndarray:
-    """Initial guess from the linear problem ``Lap u = sqrt(2 f)``, ``u = g`` on the boundary."""
+    """Initial guess from the linear problem ``Lap u = sqrt(2 f)``, ``u = g`` on the boundary.
+
+    Solves ``A x = sqrt(2 f) - B g`` on the interior block directly.
+    """
     ni = grid.n_interior
     fv = _evaluate(f, grid.points[:ni])
     if np.any(fv < -1e-13):
         raise ValueError("poisson_init requires f >= 0 on interior nodes")
-    rhs = np.empty(grid.n_points)
-    rhs[:ni] = np.sqrt(2.0 * np.maximum(fv, 0.0))
-    rhs[ni:] = _evaluate(g, grid.points[ni:])
-    u = spla.spsolve(_laplacian_system(grid), rhs)
-    if not np.all(np.isfinite(u)):
+    gv = _evaluate(g, grid.points[ni:])
+    A, B = _laplacian_system(grid)
+    x = spla.spsolve(A, np.sqrt(2.0 * np.maximum(fv, 0.0)) - B @ gv)
+    if not np.all(np.isfinite(x)):
         raise RuntimeError("linear solve for the Poisson initialization failed")
-    return u
+    return np.concatenate([x, gv])
 
 
 # BiCGSTAB iteration cap per Newton step.  On ex1-ex4 up to n=128 (about 16k
@@ -147,22 +160,17 @@ def _forcing_term(residual_history: list[float]) -> float:
     return max(ETA_MIN, min(ETA_MAX, ETA_GAMMA * ratio ** 2))
 
 
-def _solve_linear(J: sp.csr_matrix, rhs: np.ndarray, ni: int,
-                  rtol: float) -> tuple[np.ndarray, str, int]:
-    """Solve the Newton system ``J y = rhs``; return ``(y, path, iterations)``.
+def _solve_linear(A: sp.csr_matrix, b: np.ndarray, rtol: float) -> tuple[np.ndarray, str, int]:
+    """Solve the Newton system ``A x = b`` on the interior unknowns.
 
-    The first ``ni`` unknowns are the interior nodes.  Boundary rows of
-    ``J`` are identity rows, so ``y[ni:] = rhs[ni:]`` and only the interior
-    block ``A = J[:ni, :ni]`` is solved, with right-hand side
-    ``b = rhs[:ni] - J[:ni, ni:] @ rhs[ni:]``, by Jacobi-preconditioned
-    BiCGSTAB to ``|A x - b| <= rtol * |b|`` (path ``"bicgstab"``);
-    ``iterations`` counts its iterations, also when it fails.  The scheme is
-    monotone, so ``A`` is an M-matrix.  If its diagonal has a zero or
-    non-finite entry, or BiCGSTAB fails or returns non-finite values, the
-    whole of ``J`` is factored by sparse LU (path ``"lu"``), retried once
-    with a diagonal shift of ``1e-10 * ||J||_inf`` (path ``"lu+shift"``).
+    Returns ``(x, path, iterations)``.  The scheme is monotone, so ``A`` is
+    an M-matrix, and it is solved by Jacobi-preconditioned BiCGSTAB to
+    ``|A x - b| <= rtol * |b|`` (path ``"bicgstab"``); ``iterations``
+    counts its iterations, also when it fails.  If the diagonal has a zero
+    or non-finite entry, or BiCGSTAB fails or returns non-finite values,
+    ``A`` is factored by sparse LU (path ``"lu"``), retried once with a
+    diagonal shift of ``1e-10 * ||A||_inf`` (path ``"lu+shift"``).
     """
-    A = J[:ni, :ni]
     diag = A.diagonal()
     iterations = applied = 0
     if np.all(np.isfinite(diag)) and np.all(diag != 0.0):
@@ -173,44 +181,48 @@ def _solve_linear(J: sp.csr_matrix, rhs: np.ndarray, ni: int,
             applied += 1
             return inv_diag * v
 
-        b = rhs[:ni] - J[:ni, ni:] @ rhs[ni:]
         x, info = spla.bicgstab(A, b, rtol=rtol, atol=0.0, maxiter=BICGSTAB_MAXITER,
                                 M=spla.LinearOperator(A.shape, matvec=jacobi))
         # two preconditioner applications per iteration, one if it stops halfway
         iterations = (applied + 1) // 2
         if info == 0 and np.all(np.isfinite(x)):
-            return np.concatenate([x, rhs[ni:]]), "bicgstab", iterations
+            return x, "bicgstab", iterations
 
     try:
-        y = spla.splu(J.tocsc()).solve(rhs)
-        if np.all(np.isfinite(y)):
-            return y, "lu", iterations
+        x = spla.splu(A.tocsc()).solve(b)
+        if np.all(np.isfinite(x)):
+            return x, "lu", iterations
     except RuntimeError:
         pass
-    shift = 1e-10 * spla.norm(J, np.inf)
+    shift = 1e-10 * spla.norm(A, np.inf)
     try:
-        y = spla.splu((J + shift * sp.identity(J.shape[0], format="csr")).tocsc()).solve(rhs)
+        x = spla.splu((A + shift * sp.identity(A.shape[0], format="csr")).tocsc()).solve(b)
     except RuntimeError as exc:
         raise RuntimeError("Newton Jacobian is singular even after diagonal perturbation") from exc
-    if not np.all(np.isfinite(y)):
+    if not np.all(np.isfinite(x)):
         raise RuntimeError("Newton Jacobian is singular even after diagonal perturbation")
-    return y, "lu+shift", iterations
+    return x, "lu+shift", iterations
 
 
 def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
                   cfg: NewtonConfig = NewtonConfig()):
     """Inexact Newton iteration with residual-decreasing backtracking.
 
-    Each step's linear solve stops at the Eisenstat-Walker forcing term
-    (see ``_forcing_term``); the stopping test is on the true residual.
-    Returns ``(u, report)``.  ``report.converged`` is False when the
-    iteration budget runs out or the line search stalls at ``alpha_min``
-    without decreasing the residual; the recorded residual history is
-    strictly decreasing across accepted steps by construction.
+    The boundary values of ``u0`` are replaced by ``g``, so the boundary
+    residual is exactly zero throughout and each step moves only the
+    interior unknowns.  Each step's linear solve stops at the
+    Eisenstat-Walker forcing term (see ``_forcing_term``); the stopping
+    test is on the true residual.  Returns ``(u, report)``.
+    ``report.converged`` is False when the iteration budget runs out or the
+    line search stalls at ``alpha_min`` without decreasing the residual;
+    the recorded residual history is strictly decreasing across accepted
+    steps by construction.
     """
     u = np.array(u0, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("initial guess must be finite")
+    ni = grid.n_interior
+    u[ni:] = _evaluate(g, grid.points[ni:])
     threshold = cfg.residual_threshold_factor * grid.h ** 2
 
     res = scheme_apply(grid, u, params, f, g)
@@ -219,15 +231,16 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
 
     while rnorm >= threshold and report.iterations < cfg.max_iterations:
         eta = _forcing_term(report.residual_history)
-        J = assemble_jacobian(grid, u, params)
-        step, path, krylov_its = _solve_linear(J, -res, grid.n_interior, eta)
+        A = assemble_jacobian(grid, u, params)
+        step, path, krylov_its = _solve_linear(A, -res[:ni], eta)
         report.linear_solves.append(path)
         report.linear_iterations.append(krylov_its)
         report.forcing.append(eta)
 
         alpha = 1.0
         while True:
-            trial = u + alpha * step
+            trial = u.copy()
+            trial[:ni] += alpha * step
             res_trial = scheme_apply(grid, trial, params, f, g)
             rnorm_trial = float(np.abs(res_trial).max())
             if rnorm_trial < rnorm:

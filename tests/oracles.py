@@ -4,6 +4,7 @@ compare the library against."""
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def regularized_det_reference(hessian, epsilon: float, rule) -> float:
@@ -20,6 +21,24 @@ def regularized_det_reference(hessian, epsilon: float, rule) -> float:
     utt = m[0, 0] * c ** 2 + 2.0 * m[0, 1] * c * s + m[1, 1] * s ** 2
     total = rule.weights @ (1.0 / np.maximum(utt, epsilon)) / np.pi
     return float(total ** -2.0)
+
+
+def stencil_matrix_reference(grid, G) -> sp.coo_matrix:
+    """Whole-grid COO matrix: interior rows ``sum_j G[:, j] * D_j``, identity
+    boundary rows.
+
+    The triplets of every arm and center, in the order plus arms, minus
+    arms, diagonal, with no pattern reused; ``tocsr()`` would sum the
+    entries of two arms ending at one point.  Its interior rows, split at
+    column ``n_interior``, are what ``operator._stencil_matrix`` returns.
+    """
+    ni = grid.n_interior
+    n = grid.n_points
+    rows = np.concatenate([np.tile(np.repeat(np.arange(ni), len(grid.angles)), 2), np.arange(n)])
+    cols = np.concatenate([grid.plus_index.ravel(), grid.minus_index.ravel(), np.arange(n)])
+    data = np.concatenate([(G * grid.cp).ravel(), (G * grid.cm).ravel(),
+                           -(G * (grid.cp + grid.cm)).sum(axis=1), np.ones(n - ni)])
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def boundary_crossings_reference(domain, origins, directions, brackets, iterations=80):

@@ -1,4 +1,5 @@
-"""Every function the benchmark's traced run wraps still exists.
+"""Every function the benchmark's traced run wraps still exists, and the
+solve still calls them through the wrapped names.
 
 ``bench/tracing.py`` times each layer by wrapping a module attribute named
 in its ``TARGETS``.  A target that was renamed or removed makes its layer
@@ -9,6 +10,7 @@ outside this suite, so the guard lives here.  It only reads ``bench/``.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -27,3 +29,25 @@ def _targets():
 def test_traced_target_resolves(module, attribute, span):
     target = getattr(importlib.import_module(module), attribute, None)
     assert callable(target), f"{module}.{attribute} (span {span}) does not exist"
+
+
+def test_newton_reaches_its_layers_through_the_solver_namespace(monkeypatch):
+    # The traced run counts Jacobians and residuals by wrapping these two
+    # names in quadma.solver; a solve that bypassed them would go uncounted.
+    from quadma import ex1, solve_problem, solver
+
+    calls = {"assemble_jacobian": 0, "scheme_apply": 0}
+    for name in calls:
+        original = getattr(solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    _, _, report, _ = solve_problem(ex1(), "hex", 16)
+    assert report.converged
+    assert calls["assemble_jacobian"] == len(report.linear_solves) == report.iterations
+    # one residual at the start, then one per line-search trial (alpha halves)
+    trials = sum(1 + round(-math.log2(alpha)) for alpha in report.alpha_history)
+    assert calls["scheme_apply"] == 1 + trials

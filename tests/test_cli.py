@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quadma import build_grid, default_params, ex2, grid_diagnostics
 from quadma.cli import CSV_HEADER, _build_parser, _parse_args, main
 
 
@@ -72,6 +73,14 @@ def test_solve_writes_solution_json(tmp_path):
         == data["report"]["iterations"]
     assert len(data["values"]) == len(data["points"]) == len(data["interior"])
     assert data["max_error"] > 0
+    assert list(data)[-1] == "diagnostics"
+    grid = build_grid(ex2().domain, "hex", 16)
+    assert data["diagnostics"] == {
+        **grid_diagnostics(grid),
+        "quasi_uniformity": grid.angles.quasi_uniformity,
+        "min_quadrature_weight": float(default_params(grid).quadrature.weights.min()),
+    }
+    assert data["diagnostics"]["boundary_points"] == len(data["interior"]) - sum(data["interior"])
 
 
 def test_solve_exit_code_on_failure(tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import regularized_det_reference
 from quadma import (SchemeParams, assemble_jacobian, default_epsilon, default_params,
                     hex_angles, l1_angles, scheme_apply, sdd_matrix, simpson_weights,
                     trapezoid_weights, uniform_angles)
+from quadma.operator import _jacobian_coefficients, _stencil_matrix
 
 
 def quadratic(points, m):
@@ -95,21 +97,15 @@ def test_default_epsilon(cart_grid, hex_grid):
     assert default_epsilon(hex_grid) == pytest.approx(hex_grid.h ** 2)
 
 
-def test_jacobian_boundary_rows_identity(cart_grid):
-    g = cart_grid
-    J = assemble_jacobian(g, np.zeros(g.n_points), default_params(g)).tocsr()
-    for i in range(g.n_interior, g.n_points):
-        row = J.getrow(i)
-        assert row.nnz == 1
-        assert row[0, i] == pytest.approx(1.0)
-
-
 def test_jacobian_sparsity_within_stencil(cart_grid):
     g = cart_grid
     rng = np.random.default_rng(6)
     u = quadratic(g.points, np.array([[1.5, 0.2], [0.2, 1.0]]))
     u += 0.001 * g.h ** 2 * rng.standard_normal(g.n_points)
-    J = assemble_jacobian(g, u, default_params(g)).tocsr()
+    params = default_params(g)
+    J = sp.hstack([assemble_jacobian(g, u, params),
+                   _stencil_matrix(g, _jacobian_coefficients(g, u, params))[1]]).tocsr()
+    assert J.shape == (g.n_interior, g.n_points)
     for i in range(0, g.n_interior, 7):
         cols = set(J.getrow(i).indices)
         allowed = {i} | set(g.plus_index[i]) | set(g.minus_index[i])
@@ -125,13 +121,14 @@ def _fd_jacobian_check(grid, rng, trials=8):
         u = quadratic(grid.points, np.array([[a, c], [c, b]]))
         u += 0.005 * grid.h ** 2 * np.sin(3 * grid.points[:, 0]) * np.cos(2 * grid.points[:, 1])
         assert sdd_matrix(grid, u).min() > params.epsilon + 0.05  # away from kinks
-        J = assemble_jacobian(grid, u, params)
+        ni = grid.n_interior
+        B = _stencil_matrix(grid, _jacobian_coefficients(grid, u, params))[1]
         v = rng.uniform(-1.0, 1.0, grid.n_points)
-        Jv = J @ v
+        Jv = assemble_jacobian(grid, u, params) @ v[:ni] + B @ v[ni:]
         errs = []
         for t in (1e-4, 1e-5):
             fd = (scheme_apply(grid, u + t * v, params, zero, zero)
-                  - scheme_apply(grid, u - t * v, params, zero, zero)) / (2 * t)
+                  - scheme_apply(grid, u - t * v, params, zero, zero))[:ni] / (2 * t)
             errs.append(np.abs(fd - Jv).max())
         scale = max(1.0, np.abs(Jv).max())
         assert errs[0] / max(errs[1], 1e-300) > 30 or errs[0] < 1e-9 * scale

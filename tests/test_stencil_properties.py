@@ -1,24 +1,30 @@
-"""Sign structure of the stencil matrices on random grids.
+"""Structure of the stencil matrices on random grids.
 
-The scheme is monotone, so its Jacobian has nonpositive off-diagonals and
-zero row sums at interior nodes (a Z-matrix, an M-matrix once the identity
-rows of the boundary points are added).  The Poisson Laplacian has the
-mirror-image signs.  Both are built by one stencil core; these properties
-pin its structure on squares and discs of random placement and size, and
-check that the Krylov solve of the Newton step, which relies on it, meets
-its tolerance there.
+The scheme is monotone, so the interior rows of its Jacobian have
+nonpositive off-diagonals and zero row sums (the interior block is an
+M-matrix).  The Poisson Laplacian has the mirror-image signs.  Both are
+built by one stencil core on a sparsity pattern each grid computes once;
+these properties pin that core against a whole-grid COO reference, pin its
+sign structure on squares, rectangles and discs of random placement and
+size, and check that the Krylov solve of the Newton step, which relies on
+it, meets its tolerance there.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadma import assemble_jacobian, build_grid, default_params, disc, square
-from quadma.solver import _laplacian_system, _solve_linear
+from oracles import stencil_matrix_reference
+from quadma import assemble_jacobian, build_grid, default_params, disc, rectangle, square
+from quadma.operator import _jacobian_coefficients, _stencil_matrix
+from quadma.solver import _laplacian_coefficients, _laplacian_system, _solve_linear
 
 coords = st.floats(-1.0, 1.0)
 domains = st.one_of(
     st.builds(square, st.tuples(coords, coords), st.floats(0.3, 2.0)),
+    st.builds(lambda ll, w, a: rectangle(ll, (w, a * w)), st.tuples(coords, coords),
+              st.floats(0.3, 2.0), st.floats(0.3, 3.0)),
     st.builds(disc, st.tuples(coords, coords), st.floats(0.3, 1.5)),
 )
 
@@ -30,52 +36,78 @@ def grids(draw):
     return build_grid(draw(domains), backend, n)
 
 
-def _check_rows(grid, A, sign):
-    """Interior rows: ``sign * off-diagonal <= 0`` and zero row sums relative
-    to the row's largest entry; boundary rows: identity."""
-    A = A.tocoo()
+def _check_rows(grid, A, B, sign):
+    """Interior rows ``[A B]``: ``sign * off-diagonal <= 0`` and zero row
+    sums relative to the row's largest entry."""
     ni = grid.n_interior
-    interior = A.row < ni
-    offdiag = interior & (A.row != A.col)
-    assert np.all(sign * A.data[offdiag] <= 0.0)
-    row_sum = np.bincount(A.row[interior], weights=A.data[interior], minlength=ni)
+    assert A.shape == (ni, ni) and B.shape == (ni, grid.n_points - ni)
+    rows = sp.hstack([A, B]).tocoo()
+    offdiag = rows.row != rows.col
+    assert np.all(sign * rows.data[offdiag] <= 0.0)
+    row_sum = np.bincount(rows.row, weights=rows.data, minlength=ni)
     row_max = np.zeros(ni)
-    np.maximum.at(row_max, A.row[interior], np.abs(A.data[interior]))
+    np.maximum.at(row_max, rows.row, np.abs(rows.data))
     assert np.all(np.abs(row_sum) <= 1e-12 * row_max)
-
-    boundary = ~interior & (A.data != 0.0)
-    assert np.array_equal(A.row[boundary], A.col[boundary])
-    assert np.array_equal(np.sort(A.row[boundary]), np.arange(ni, grid.n_points))
-    assert np.all(A.data[boundary] == 1.0)
 
 
 def _jacobian(grid, seed, scale):
     # a convex quadratic plus noise puts nodes on both branches of the scheme
     rng = np.random.default_rng(seed)
     u = 0.5 * (grid.points ** 2).sum(axis=1) + 10.0 ** scale * rng.standard_normal(grid.n_points)
-    return assemble_jacobian(grid, u, default_params(grid)), rng
+    params = default_params(grid)
+    B = _stencil_matrix(grid, _jacobian_coefficients(grid, u, params))[1]
+    return assemble_jacobian(grid, u, params), B, rng
+
+
+def _same_csr(M, ref):
+    """Equal ``indptr``, ``indices`` and ``data``, the data bit for bit."""
+    return (np.array_equal(M.indptr, ref.indptr) and np.array_equal(M.indices, ref.indices)
+            and M.data.tobytes() == ref.data.tobytes())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(grid=grids(), seed=st.integers(0, 2 ** 32 - 1), zeros=st.floats(0.0, 1.0),
+       laplacian=st.booleans())
+def test_stencil_blocks_match_whole_grid_reference(grid, seed, zeros, laplacian):
+    rng = np.random.default_rng(seed)
+    if laplacian:
+        G = _laplacian_coefficients(grid)  # one per angle; zeros on Cartesian grids
+    else:
+        G = -rng.exponential(size=grid.cp.shape)
+        G[rng.random(G.shape) < zeros] = 0.0
+    assert "stencil_pattern" not in vars(grid)
+    A, B = _stencil_matrix(grid, G)
+    ni = grid.n_interior
+    ref = stencil_matrix_reference(grid, G).tocsr()
+    ref.sum_duplicates()
+    assert _same_csr(A, ref[:ni, :ni])
+    assert _same_csr(B, ref[:ni, ni:])
+    # a second assembly refills the data of the same pattern
+    A2, _ = _stencil_matrix(grid, 2.0 * G)
+    for name in ("indptr", "indices"):
+        assert np.shares_memory(getattr(A, name), getattr(A2, name))
+        assert not getattr(A, name).flags.writeable
+    assert np.array_equal(A2.data, 2.0 * A.data)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(grid=grids(), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-4.0, 1.0))
 def test_jacobian_is_z_matrix_with_zero_row_sums(grid, seed, scale):
-    J, _ = _jacobian(grid, seed, scale)
-    _check_rows(grid, J, sign=1.0)
+    A, B, _ = _jacobian(grid, seed, scale)
+    _check_rows(grid, A, B, sign=1.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(grid=grids(), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-4.0, 1.0))
 def test_krylov_step_meets_its_tolerance(grid, seed, scale):
-    J, rng = _jacobian(grid, seed, scale)
-    rhs = rng.standard_normal(grid.n_points)
-    ni = grid.n_interior
-    y, path, _ = _solve_linear(J, rhs, ni, 1e-8)
+    A, _, rng = _jacobian(grid, seed, scale)
+    b = rng.standard_normal(grid.n_interior)
+    y, path, _ = _solve_linear(A, b, 1e-8)
     if path == "bicgstab":
-        b = rhs[:ni] - J[:ni, ni:] @ rhs[ni:]
-        assert np.linalg.norm((J @ y - rhs)[:ni]) <= 1e-7 * np.linalg.norm(b)
+        assert np.linalg.norm(A @ y - b) <= 1e-7 * np.linalg.norm(b)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(grid=grids())
 def test_laplacian_has_mirrored_signs_and_zero_row_sums(grid):
-    _check_rows(grid, _laplacian_system(grid), sign=-1.0)
+    _check_rows(grid, *_laplacian_system(grid), sign=-1.0)
