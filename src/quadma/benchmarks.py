@@ -79,11 +79,11 @@ def ex2() -> BenchmarkProblem:
     x0 = np.array([0.5, 0.5])
 
     def u(p):
-        rr = np.linalg.norm(p - x0, axis=-1)
+        rr = np.sqrt(_sq_norm(p - x0))
         return 0.5 * np.maximum(rr - 0.2, 0.0) ** 2
 
     def f(p):
-        rr = np.linalg.norm(p - x0, axis=-1)
+        rr = np.sqrt(_sq_norm(p - x0))
         # (1 - 0.2/r)^+ vanishes for r <= 0.2, including the center r = 0.
         return np.where(rr > 0.2, 1.0 - 0.2 / np.maximum(rr, 0.2), 0.0)
 

@@ -37,7 +37,14 @@ class ConvexDomain:
     sdf : callable
         Maps point arrays of shape ``(..., 2)`` to signed distances of
         shape ``(...,)``.  Must be negative strictly inside, zero on the
-        boundary and positive outside, and 1-Lipschitz.
+        boundary and positive outside, and 1-Lipschitz.  The mesh
+        builders call it once on the tiling, then once per bisection
+        pass (56 to 61 on typical grids) on every stencil arm that exits
+        the domain, so its cost is grid build cost: write it on the
+        coordinate planes ``p[..., 0]`` and ``p[..., 1]``, as the
+        built-in shapes do, rather than with
+        ``np.linalg.norm(..., axis=-1)``, whose reduction over the
+        length-2 axis costs several times the arithmetic.
     bounding_box : tuple of float
         ``(xmin, xmax, ymin, ymax)`` containing the closure of the domain.
     name : str
@@ -77,14 +84,16 @@ def rectangle(lower_left=(0.0, 0.0), size=1.0) -> ConvexDomain:
         w, h = float(size[0]), float(size[1])
     if w <= 0 or h <= 0:
         raise ValueError("rectangle size must be positive")
-    center = np.array([x0 + w / 2.0, y0 + h / 2.0])
-    half = np.array([w / 2.0, h / 2.0])
+    cx, cy = x0 + w / 2.0, y0 + h / 2.0
+    hx, hy = w / 2.0, h / 2.0
 
+    # on the coordinate planes: the float operations of
+    # np.linalg.norm(max(q, 0), axis=-1), bit for bit, without its reduce
     def sdf(p):
-        q = np.abs(p - center) - half
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-        inside = np.minimum(np.maximum(q[..., 0], q[..., 1]), 0.0)
-        return outside + inside
+        qx = np.abs(p[..., 0] - cx) - hx
+        qy = np.abs(p[..., 1] - cy) - hy
+        ox, oy = np.maximum(qx, 0.0), np.maximum(qy, 0.0)
+        return np.sqrt(ox * ox + oy * oy) + np.minimum(np.maximum(qx, qy), 0.0)
 
     return ConvexDomain(sdf, (x0, x0 + w, y0, y0 + h), name="square" if w == h else "rectangle")
 
@@ -99,11 +108,11 @@ def disc(center=(0.0, 0.0), radius=1.0) -> ConvexDomain:
     if radius <= 0:
         raise ValueError("disc radius must be positive")
     cx, cy = float(center[0]), float(center[1])
-    c = np.array([cx, cy])
     r = float(radius)
 
     def sdf(p):
-        return np.linalg.norm(p - c, axis=-1) - r
+        dx, dy = p[..., 0] - cx, p[..., 1] - cy
+        return np.sqrt(dx * dx + dy * dy) - r
 
     return ConvexDomain(sdf, (cx - r, cx + r, cy - r, cy + r), name="disc")
 

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from quadma import ConvexDomain
+
 
 def regularized_det_reference(hessian, epsilon: float, rule) -> float:
     """Regularized determinant of an exact 2x2 symmetric quadratic form.
@@ -102,3 +104,36 @@ def augment_boundary_reference(domain, interior_points, angles, plus_index, minu
     interior = np.zeros(len(points), dtype=bool)
     interior[:n_int] = True
     return points, interior, plus_index, minus_index, h_plus, h_minus
+
+
+def rectangle_reference(lower_left=(0.0, 0.0), size=1.0) -> ConvexDomain:
+    """``domains.rectangle`` with its signed distance reduced by ``np.linalg.norm``.
+
+    ``q = |p - center| - half``; the distance is the norm of ``max(q, 0)``
+    over the last axis plus ``min(max(q_x, q_y), 0)``.
+    """
+    x0, y0 = float(lower_left[0]), float(lower_left[1])
+    w, h = (float(size), float(size)) if np.isscalar(size) else (float(size[0]), float(size[1]))
+    center = np.array([x0 + w / 2.0, y0 + h / 2.0])
+    half = np.array([w / 2.0, h / 2.0])
+
+    def sdf(p):
+        q = np.abs(p - center) - half
+        outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
+        inside = np.minimum(np.maximum(q[..., 0], q[..., 1]), 0.0)
+        return outside + inside
+
+    return ConvexDomain(sdf, (x0, x0 + w, y0, y0 + h), name="rectangle")
+
+
+def disc_reference(center=(0.0, 0.0), radius=1.0) -> ConvexDomain:
+    """``domains.disc`` with its signed distance ``|p - center| - radius``
+    reduced by ``np.linalg.norm``."""
+    cx, cy = float(center[0]), float(center[1])
+    c = np.array([cx, cy])
+    r = float(radius)
+
+    def sdf(p):
+        return np.linalg.norm(p - c, axis=-1) - r
+
+    return ConvexDomain(sdf, (cx - r, cx + r, cy - r, cy + r), name="disc")

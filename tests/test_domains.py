@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import disc_reference, rectangle_reference
 from quadma import ConvexDomain, boundary_intersection, disc, make_domain, rectangle, square
 
 
@@ -15,6 +18,57 @@ def test_signed_distance_vectorized(unit_square):
     d = unit_square.signed_distance(pts)
     assert d.shape == (3,)
     assert d[0] < 0 and abs(d[1]) < 1e-15 and d[2] > 0
+
+
+def _probe_points(domain, rng):
+    """96 points: random ones around the domain, on its boundary, at the
+    bounding-box corners, at the centre and far outside."""
+    x0, x1, y0, y1 = domain.bounding_box
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    u = rng.uniform(0.0, 1.0, 24)
+    if domain.name == "disc":
+        phi = 2.0 * np.pi * u
+        edges = np.column_stack([cx + 0.5 * (x1 - x0) * np.cos(phi),
+                                 cy + 0.5 * (y1 - y0) * np.sin(phi)])
+    else:
+        xs, ys = x0 + u[:12] * (x1 - x0), y0 + u[12:] * (y1 - y0)
+        edges = np.vstack([np.column_stack([np.full(6, x0), ys[:6]]),
+                           np.column_stack([np.full(6, x1), ys[6:]]),
+                           np.column_stack([xs[:6], np.full(6, y0)]),
+                           np.column_stack([xs[6:], np.full(6, y1)])])
+    corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
+    span = domain.diameter
+    phi = rng.uniform(0.0, 2.0 * np.pi, 19)
+    far = np.column_stack([cx + 1e3 * span * np.cos(phi), cy + 1e3 * span * np.sin(phi)])
+    near = rng.uniform([x0 - span, y0 - span], [x1 + span, y1 + span], size=(48, 2))
+    return np.vstack([near, edges, corners, [[cx, cy]], far])
+
+
+_coords = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(shape=st.one_of(
+           st.tuples(st.just((rectangle, rectangle_reference)), _coords,
+                     st.one_of(st.floats(0.1, 3.0), st.tuples(st.floats(0.1, 3.0),
+                                                              st.floats(0.1, 3.0)))),
+           st.tuples(st.just((disc, disc_reference)), _coords, st.floats(0.1, 3.0))),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_signed_distance_matches_norm_reference(shape, seed):
+    # the built-in signed distances, written on the coordinate planes, equal
+    # the np.linalg.norm formulas bit for bit, on every (..., 2) shape
+    (build, build_reference), anchor, size = shape
+    domain, reference = build(anchor, size), build_reference(anchor, size)
+    assert domain.bounding_box == reference.bounding_box
+    pts = _probe_points(domain, np.random.default_rng(seed))
+    for p in (pts, pts.reshape(8, 12, 2), pts[:, None, :]):
+        got = domain.signed_distance(p)
+        assert got.shape == p.shape[:-1]
+        assert np.array_equal(got, reference.signed_distance(p))
+    for point in pts:
+        got = domain.signed_distance(point)
+        assert got.shape == ()
+        assert np.array_equal(got, reference.signed_distance(point))
 
 
 @pytest.mark.parametrize("domain", [square((0, 0), 1.0), rectangle((-1, 0.5), (2.0, 0.75)),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import augment_boundary_reference, boundary_crossings_reference
+from oracles import (augment_boundary_reference, boundary_crossings_reference, disc_reference,
+                     rectangle_reference)
 from quadma import (ConvexDomain, build_grid, cartesian_mesh, default_stencil_depth,
                     disc, grid_diagnostics, grid_to_jsonable, hex_angles, hexagonal_mesh,
                     meshing, rectangle, square)
@@ -109,6 +110,10 @@ def _assert_same_grid_as_reference(domain, backend, n, K=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(meshing, "augment_boundary", augment_boundary_reference)
         ref = build_grid(domain, backend, n, K)
+    _assert_same_grids(grid, ref)
+
+
+def _assert_same_grids(grid, ref):
     for name in ("points", "interior", "plus_index", "minus_index", "h_plus", "h_minus"):
         assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
 
@@ -143,6 +148,59 @@ def test_boundary_dedup_matches_reference(domain, backend, n, K):
 ])
 def test_boundary_dedup_matches_reference_on_fixed_grids(domain, backend, n, K):
     _assert_same_grid_as_reference(domain, backend, n, K)
+
+
+_corner = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.one_of(
+           st.tuples(st.just((rectangle, rectangle_reference)), _corner, st.floats(0.5, 2.0)),
+           st.tuples(st.just((rectangle, rectangle_reference)), _corner,
+                     st.builds(lambda w, a: (w, a * w), st.floats(0.5, 2.0), st.floats(0.3, 3.0))),
+           st.tuples(st.just((disc, disc_reference)), _corner, st.floats(0.3, 1.5))),
+       backend=st.sampled_from(["cartesian", "hex"]),
+       n=st.integers(9, 48), K=st.one_of(st.none(), st.integers(1, 6)))
+def test_grid_matches_norm_reference_sdf(shape, backend, n, K):
+    # the built-in signed distances build the same grids, bit for bit, as
+    # the np.linalg.norm formulas wrapped in a ConvexDomain
+    (build, build_reference), anchor, size = shape
+    if K is not None:
+        K = min(K, (n - 3) // 2)
+    _assert_same_grids(build_grid(build(anchor, size), backend, n, K),
+                       build_grid(build_reference(anchor, size), backend, n, K))
+
+
+def _counting(domain):
+    """``domain`` behind a ConvexDomain that records the shape of every sdf call."""
+    shapes = []
+
+    def sdf(p):
+        shapes.append(p.shape)
+        return domain.sdf(p)
+
+    return ConvexDomain(sdf, domain.bounding_box, domain.name), shapes
+
+
+@pytest.mark.parametrize("domain,backend,n,K", [
+    (square((-1.0, -1.0), 2.0), "cartesian", 72, 5),
+    (square((-1.0, -1.0), 2.0), "hex", 64, None),
+    (disc((0.1, -0.05), 0.9), "cartesian", 80, None),
+    (disc((0.1, -0.05), 0.9), "hex", 80, None),
+])
+def test_grid_build_sdf_calls(domain, backend, n, K):
+    # one call on the whole tiling, then one per bisection pass on every
+    # exiting arm at once: no per-angle or per-arm calls, and no more
+    # passes than the fixed point takes (57 to 62 on these grids)
+    counted, shapes = _counting(domain)
+    grid = build_grid(counted, backend, n, K)
+    tiling, passes = shapes[0], shapes[1:]
+    assert tiling[0] > grid.n_interior
+    assert len(set(passes)) == 1
+    ni = grid.n_interior
+    arms = int(np.sum(grid.plus_index >= ni) + np.sum(grid.minus_index >= ni))
+    assert 0 < passes[0][0] <= arms
+    assert len(shapes) <= 65
 
 
 def test_boundary_dedup_tolerance_and_chains():

@@ -112,6 +112,24 @@ def test_jacobian_sparsity_within_stencil(cart_grid):
         assert cols.issubset(allowed)
 
 
+def test_jacobian_tie_takes_constant_branch(square9_k2):
+    # h = 1/8 and u = (x^2 + 3 y^2) / 2: on centered arms, the difference
+    # at angle 0 is exactly 1 = eps, the smallest at its node.  At that tie
+    # neither the quadrature sum (D_j > eps) nor the min term (D_j < eps)
+    # contributes, so the coefficient is 0; the other angles stay active.
+    g = square9_k2
+    params = SchemeParams(1.0, default_params(g).quadrature)
+    u = 0.5 * (g.points[:, 0] ** 2 + 3.0 * g.points[:, 1] ** 2)
+    D = sdd_matrix(g, u)
+    tie = D[:, 0] == params.epsilon
+    centered = g.h_plus[:, 0] == g.h_minus[:, 0]
+    assert centered.any() and np.all(tie[centered])
+    assert np.all(D[tie, 1:] > params.epsilon)
+    G = _jacobian_coefficients(g, u, params)
+    assert np.all(G[tie, 0] == 0.0)
+    assert np.all(G[tie, 1:] < 0.0)
+
+
 def _fd_jacobian_check(grid, rng, trials=8):
     params = default_params(grid)
     zero = lambda p: np.zeros(len(p))
