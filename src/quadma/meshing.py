@@ -1,18 +1,20 @@
 """Grid construction for the two mesh backends.
 
-Both builders follow the same recipe: lay a structured tiling over the
-domain's bounding box, keep as interior nodes the tiling nodes deeper inside
-the domain than the boundary clearance (signed distance < -CLEARANCE*h),
-then walk every stencil arm of every interior node.  Arms whose target node
-is again interior keep their full tiling length; arms that exit the domain
-are shortened to the point where the ray crosses the boundary, and that
-crossing is inserted into the grid as a boundary point.  A target node
+A backend is a tiling given as data: a mask of sites on an integer
+``(row, col)`` lattice, node ``(row, col)`` lying at ``(xmin + dx*col,
+ymin + dy*row)``; a sublattice label per site; and per sublattice, side and
+angle, the ``(drow, dcol)`` offset and length of the stencil arm.  One core
+builds every grid from it.  Interior nodes are the sites deeper inside the
+domain than the boundary clearance (signed distance < -CLEARANCE*h).  An
+arm whose target site is again interior keeps its full tiling length; an
+arm that exits the domain is shortened to the point where its ray crosses
+the boundary, and that crossing becomes a boundary point.  A target site
 inside the domain but within the clearance of its boundary is not interior:
-the arm ends there, and the node becomes a boundary point, where ``u = g``
-as on the boundary itself.  The result is a point set in which every
-interior node has, for every stencil angle, a pair of exactly aligned
-neighbors within the stencil width, and in which every boundary point has
-signed distance in ``[-CLEARANCE*h, 0]`` up to roundoff.
+the arm ends there, and the site becomes a boundary point, where ``u = g``
+as on the boundary itself.  So every interior node has, for every stencil
+angle, a pair of exactly aligned neighbors within the stencil width, and
+every boundary point has signed distance in ``[-CLEARANCE*h, 0]`` up to
+roundoff.
 
 The clearance keeps arms long: an arm runs from signed distance below
 ``-CLEARANCE*h`` to signed distance at least ``-CLEARANCE*h``, and the
@@ -24,15 +26,17 @@ grids are unaffected.
 
 Backends
 --------
-* Cartesian: a uniform lattice of spacing ``h``; stencil arms point at the
-  lattice sites on the L1 circle of integer radius ``K``, giving the 2K
-  directions of :func:`~quadma.angles.l1_angles` with arm lengths between
+* Cartesian: every site of a uniform lattice of spacing ``h``, one
+  sublattice; stencil arms point at the lattice sites on the L1 circle of
+  integer radius ``K``, giving the 2K directions of
+  :func:`~quadma.angles.l1_angles` with arm lengths between
   ``K*h/sqrt(2)`` and ``K*h``.
 * Hexagonal: the vertex set of a tiling by regular hexagons of side ``s``
-  (flat-top, one direction along the x axis).  Every vertex has aligned
-  neighbors in all six directions ``j*pi/6``; three of them are centered at
-  distance ``sqrt(3)*s`` and three are uncentered with arms ``s`` and
-  ``2*s``, which side being short depending on the vertex's sublattice.
+  (flat-top, one direction along the x axis), two sublattices.  Every
+  vertex has aligned neighbors in all six directions ``j*pi/6``; three of
+  them are centered at distance ``sqrt(3)*s`` and three are uncentered with
+  arms ``s`` and ``2*s``, which side being short depending on the vertex's
+  sublattice.
 
 Interior points are stored first, in lexicographic ``(y, x)`` order;
 boundary points follow, numbered by the first arm that ends at each.  Arm
@@ -41,7 +45,7 @@ boundary point, chains of such points included.  (A greedy merge, first
 come first served, would differ only where a chain of points spans more
 than that tolerance; the tests compare against one, on random squares,
 rectangles and discs, and find no such chain.)  Construction
-is integer-exact: nodes are tracked on an integer index lattice, so stencil
+is integer-exact: nodes are tracked on the integer lattice, so stencil
 alignment never relies on floating-point matching.
 """
 
@@ -241,12 +245,52 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     return points, interior, plus_index, minus_index, h_plus, h_minus
 
 
-def _lattice_lookup(idx_map: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entry of ``idx_map`` at lattice sites ``(rows, cols)``; -1 off the lattice."""
-    ok = (rows >= 0) & (rows < idx_map.shape[0]) & (cols >= 0) & (cols < idx_map.shape[1])
-    out = np.full(len(rows), -1, dtype=np.int64)
-    out[ok] = idx_map[rows[ok], cols[ok]]
-    return out
+def _tiling_grid(domain: ConvexDomain, kind: MeshKind, sites, spacing, sublattice,
+                 offsets, lengths, h: float, angles: AngularDiscretization,
+                 params: dict) -> Grid:
+    """Build the grid of a tiling given as data (see the module docstring).
+
+    ``sites`` is the ``(rows, cols)`` site mask, ``spacing`` the pair
+    ``(dx, dy)`` and ``sublattice`` the label ``k`` of every lattice
+    position.  ``offsets[k, side, j]`` is the ``(drow, dcol)`` of the arm of
+    a sublattice-``k`` node along angle ``j``, side 0 plus and 1 minus, and
+    ``lengths[k, side, j]`` its length; the longest is the stencil width.
+    """
+    xmin, _, ymin, _ = domain.bounding_box
+    rows, cols = np.nonzero(sites)                  # (y, x) lexicographic order
+    pts = np.column_stack([xmin + spacing[0] * cols, ymin + spacing[1] * rows])
+    dist = domain.signed_distance(pts)
+    inside = dist < -CLEARANCE * h
+    n_int = int(inside.sum())
+    if n_int == 0:
+        raise ValueError("domain contains no interior tiling nodes")
+
+    # The index map lives on the lattice padded by the longest arm offset
+    # and flattened, so every arm is a fixed flat offset and needs no bounds
+    # check.  Lookups stay on 1-D columns with scalar offsets: gathering
+    # per-node offsets took twice as long on Cartesian grids.
+    pad = int(np.abs(offsets).max())
+    width = sites.shape[1] + 2 * pad
+    idx_map = np.full((sites.shape[0] + 2 * pad) * width, -1, dtype=np.int64)
+    flat = (rows + pad) * width + cols + pad
+    idx_map[flat[(dist < 0.0) & ~inside]] = NEAR_NODE
+    flat = flat[inside]
+    idx_map[flat] = np.arange(n_int)
+    label = sublattice[rows[inside], cols[inside]]
+
+    index = np.empty((2, n_int, len(angles)), dtype=np.int64)
+    for k, steps in enumerate(offsets @ (width, 1)):
+        members = np.flatnonzero(label == k)
+        base = flat[members]
+        for side, side_steps in enumerate(steps):
+            for a, step in enumerate(side_steps.tolist()):
+                index[side, members, a] = idx_map[base + step]
+    arm = lengths.transpose(1, 0, 2).take(label, axis=1)
+
+    points, interior, plus_index, minus_index, h_plus, h_minus = augment_boundary(
+        domain, pts[inside], angles, index[0], index[1], arm[0], arm[1], dedup_tol=1e-9 * h)
+    return Grid(kind, points, interior, h, float(lengths.max()), angles,
+                plus_index, minus_index, h_plus, h_minus, params=params)
 
 
 def cartesian_mesh(domain: ConvexDomain, n: int, K: int) -> Grid:
@@ -263,69 +307,30 @@ def cartesian_mesh(domain: ConvexDomain, n: int, K: int) -> Grid:
     xmin, xmax, ymin, ymax = domain.bounding_box
     width, height = xmax - xmin, ymax - ymin
     h = max(width, height) / (n - 1)
-    nx = int(math.ceil(width / h - 1e-9)) + 1
-    ny = int(math.ceil(height / h - 1e-9)) + 1
+    shape = (int(math.ceil(height / h - 1e-9)) + 1, int(math.ceil(width / h - 1e-9)) + 1)
 
-    xs = xmin + np.arange(nx) * h
-    ys = ymin + np.arange(ny) * h
-    X, Y = np.meshgrid(xs, ys)                      # (ny, nx), row-major in y
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    dist2d = domain.signed_distance(pts).reshape(ny, nx)
-    inside2d = dist2d < -CLEARANCE * h
-    n_int = int(inside2d.sum())
-    if n_int == 0:
-        raise ValueError("domain contains no interior lattice points")
-
-    idx_map = np.full((ny, nx), -1, dtype=np.int64)
-    idx_map[(dist2d < 0.0) & ~inside2d] = NEAR_NODE
-    idx_map[inside2d] = np.arange(n_int)
-    jj, ii = np.nonzero(inside2d)                   # (y, x) lexicographic order
-    interior_points = np.column_stack([xs[ii], ys[jj]])
-
-    angles = l1_angles(K)
-    offs = l1_offsets(K)
-    arm = h * np.hypot(offs[:, 0], offs[:, 1])      # arm length per angle
-    n_ang = len(angles)
-
-    plus_index = np.full((n_int, n_ang), -1, dtype=np.int64)
-    minus_index = np.full((n_int, n_ang), -1, dtype=np.int64)
-    h_plus = np.tile(arm, (n_int, 1))
-    h_minus = np.tile(arm, (n_int, 1))
-
-    for a in range(n_ang):
-        di, dj = int(offs[a, 0]), int(offs[a, 1])
-        plus_index[:, a] = _lattice_lookup(idx_map, jj + dj, ii + di)
-        minus_index[:, a] = _lattice_lookup(idx_map, jj - dj, ii - di)
-
-    points, interior, plus_index, minus_index, h_plus, h_minus = augment_boundary(
-        domain, interior_points, angles, plus_index, minus_index, h_plus, h_minus,
-        dedup_tol=1e-9 * h)
-    return Grid("cartesian", points, interior, h, K * h, angles,
-                plus_index, minus_index, h_plus, h_minus,
-                params={"n": n, "K": K})
+    offs = l1_offsets(K)                            # (dx, dy) in lattice steps
+    arm = h * np.hypot(offs[:, 0], offs[:, 1])
+    offs = offs[:, ::-1]
+    return _tiling_grid(domain, "cartesian", np.ones(shape, dtype=bool), (h, h),
+                        np.zeros(shape, dtype=np.int64), np.stack([offs, -offs])[None],
+                        np.stack([arm, arm])[None], h, l1_angles(K), {"n": n, "K": K})
 
 
 _SQRT3 = math.sqrt(3.0)
 
-# Arm offsets on the hexagon-vertex tiling, per sublattice, per angle
-# j*pi/6, as (dp, dq, length/s) on the integer frame
-# x = (sqrt(3)*s/2) * p, y = (s/2) * q.  Sublattice A sits at q = 0 mod 3,
-# sublattice B at q = 2 mod 3; the two are point reflections of each other,
-# which flips the short/long sides of the uncentered arms.
-_HEX_ARMS = {
-    "A": {
-        "plus": [(2, 0, _SQRT3), (2, 2, 2.0), (1, 3, _SQRT3),
-                 (0, 2, 1.0), (-1, 3, _SQRT3), (-2, 2, 2.0)],
-        "minus": [(-2, 0, _SQRT3), (-1, -1, 1.0), (-1, -3, _SQRT3),
-                  (0, -4, 2.0), (1, -3, _SQRT3), (1, -1, 1.0)],
-    },
-    "B": {
-        "plus": [(2, 0, _SQRT3), (1, 1, 1.0), (1, 3, _SQRT3),
-                 (0, 4, 2.0), (-1, 3, _SQRT3), (-1, 1, 1.0)],
-        "minus": [(-2, 0, _SQRT3), (-2, -2, 2.0), (-1, -3, _SQRT3),
-                  (0, -2, 1.0), (1, -3, _SQRT3), (2, -2, 2.0)],
-    },
-}
+# Arms on the hexagon-vertex tiling, per sublattice, side (plus, minus) and
+# angle j*pi/6, as (dq, dp) on the integer frame x = (sqrt(3)*s/2) * p,
+# y = (s/2) * q, with lengths in units of s.  Sublattice A sits at rows
+# q = 0 mod 3, sublattice B at rows q = 2 mod 3; B is the point reflection
+# of A, which swaps the plus and minus sides and so the short and long
+# sides of the uncentered arms.
+_HEX_A = np.array([[(0, 2), (2, 2), (3, 1), (2, 0), (3, -1), (2, -2)],
+                   [(0, -2), (-1, -1), (-3, -1), (-4, 0), (-3, 1), (-1, 1)]])
+_HEX_A_LENGTHS = np.array([[_SQRT3, 2.0, _SQRT3, 1.0, _SQRT3, 2.0],
+                           [_SQRT3, 1.0, _SQRT3, 2.0, _SQRT3, 1.0]])
+_HEX_OFFSETS = np.stack([_HEX_A, -_HEX_A[::-1]])
+_HEX_LENGTHS = np.stack([_HEX_A_LENGTHS, _HEX_A_LENGTHS[::-1]])
 
 
 def hexagonal_mesh(domain: ConvexDomain, n: int) -> Grid:
@@ -343,56 +348,13 @@ def hexagonal_mesh(domain: ConvexDomain, n: int) -> Grid:
     width, height = xmax - xmin, ymax - ymin
     s = 4.0 * height / (3.0 * n)
 
-    qmax = int(math.ceil(2.0 * height / s + 1e-9))
-    pmax = int(math.ceil(2.0 * width / (_SQRT3 * s) + 1e-9))
-
-    p_list, q_list = [], []
-    for q in range(qmax + 1):
-        if q % 3 == 1:
-            continue  # no vertex rows at q = 1 mod 3
-        k = q // 3 if q % 3 == 0 else (q - 2) // 3
-        ps = np.arange(k % 2, pmax + 1, 2)
-        p_list.append(ps)
-        q_list.append(np.full(len(ps), q))
-    pp = np.concatenate(p_list)
-    qq = np.concatenate(q_list)
-    pts = np.column_stack([xmin + (_SQRT3 * s / 2.0) * pp, ymin + (s / 2.0) * qq])
-
-    dist = domain.signed_distance(pts)
-    inside = dist < -CLEARANCE * s
-    n_int = int(inside.sum())
-    if n_int == 0:
-        raise ValueError("domain contains no interior tiling vertices")
-
-    idx_map = np.full((qmax + 1, pmax + 1), -1, dtype=np.int64)
-    near = (dist < 0.0) & ~inside
-    idx_map[qq[near], pp[near]] = NEAR_NODE
-    pp, qq = pp[inside], qq[inside]
-    interior_points = pts[inside]                   # (q, p) ascending = (y, x) order
-    idx_map[qq, pp] = np.arange(n_int)
-
-    angles = hex_angles()
-    n_ang = len(angles)
-    plus_index = np.full((n_int, n_ang), -1, dtype=np.int64)
-    minus_index = np.full((n_int, n_ang), -1, dtype=np.int64)
-    h_plus = np.empty((n_int, n_ang))
-    h_minus = np.empty((n_int, n_ang))
-
-    groups = {"A": qq % 3 == 0, "B": qq % 3 == 2}
-    for sub, mask in groups.items():
-        gp, gq = pp[mask], qq[mask]
-        for side, arr_idx, arr_len in (("plus", plus_index, h_plus),
-                                       ("minus", minus_index, h_minus)):
-            for a, (dp, dq, length) in enumerate(_HEX_ARMS[sub][side]):
-                arr_idx[mask, a] = _lattice_lookup(idx_map, gq + dq, gp + dp)
-                arr_len[mask, a] = length * s
-
-    points, interior, plus_index, minus_index, h_plus, h_minus = augment_boundary(
-        domain, interior_points, angles, plus_index, minus_index, h_plus, h_minus,
-        dedup_tol=1e-9 * s)
-    return Grid("hexagonal", points, interior, s, 2.0 * s, angles,
-                plus_index, minus_index, h_plus, h_minus,
-                params={"n": n, "spacing": s})
+    q = np.arange(int(math.ceil(2.0 * height / s + 1e-9)) + 1)[:, None]
+    p = np.arange(int(math.ceil(2.0 * width / (_SQRT3 * s) + 1e-9)) + 1)
+    sites = (q % 3 != 1) & (p % 2 == (q // 3) % 2)  # no vertex rows at q = 1 mod 3
+    sublattice = np.broadcast_to(q % 3 // 2, sites.shape)
+    return _tiling_grid(domain, "hexagonal", sites, (_SQRT3 * s / 2.0, s / 2.0), sublattice,
+                        _HEX_OFFSETS, _HEX_LENGTHS * s, s, hex_angles(),
+                        {"n": n, "spacing": s})
 
 
 def default_stencil_depth(n: int, c_K: float = 1.0) -> int:

@@ -42,14 +42,12 @@ class NewtonConfig:
 
     ``residual_threshold_factor`` multiplies ``h**2`` to give the stopping
     threshold on the max-norm residual.  Backtracking multiplies the step
-    length by ``damping_beta`` until the residual decreases, failing once
-    the step drops below ``alpha_min``.
+    length by ``DAMPING_BETA`` until the residual decreases, failing once
+    the step drops below ``ALPHA_MIN``.
     """
 
     residual_threshold_factor: float = 1.0
     max_iterations: int = 50
-    damping_beta: float = 0.5
-    alpha_min: float = 2.0 ** -20
     verbose: bool = False
 
     def __post_init__(self):
@@ -57,10 +55,6 @@ class NewtonConfig:
             raise ValueError("residual_threshold_factor must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if not 0.0 < self.damping_beta < 1.0:
-            raise ValueError("damping_beta must lie in (0, 1)")
-        if not 0.0 < self.alpha_min <= 1.0:
-            raise ValueError("alpha_min must lie in (0, 1]")
 
 
 @dataclass
@@ -151,6 +145,10 @@ ETA_MAX = 0.1
 ETA_MIN = 1e-8
 ETA_GAMMA = 0.9
 
+# Line search: step length factor per backtrack, and the length at which it stalls.
+DAMPING_BETA = 0.5
+ALPHA_MIN = 2.0 ** -20
+
 
 def _forcing_term(residual_history: list[float]) -> float:
     """Relative BiCGSTAB tolerance of the Newton step from the last iterate."""
@@ -214,7 +212,7 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
     Eisenstat-Walker forcing term (see ``_forcing_term``); the stopping
     test is on the true residual.  Returns ``(u, report)``.
     ``report.converged`` is False when the iteration budget runs out or the
-    line search stalls at ``alpha_min`` without decreasing the residual;
+    line search stalls at ``ALPHA_MIN`` without decreasing the residual;
     the recorded residual history is strictly decreasing across accepted
     steps by construction.
     """
@@ -245,10 +243,10 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
             rnorm_trial = float(np.abs(res_trial).max())
             if rnorm_trial < rnorm:
                 break
-            alpha *= cfg.damping_beta
-            if alpha < cfg.alpha_min:
+            alpha *= DAMPING_BETA
+            if alpha < ALPHA_MIN:
                 report.message = ("line search stalled: residual not decreasing "
-                                  f"at alpha_min = {cfg.alpha_min:.2e}")
+                                  f"at alpha_min = {ALPHA_MIN:.2e}")
                 report.final_residual = rnorm
                 return u, report
 
@@ -268,20 +266,23 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
     return u, report
 
 
-def interpolate_to_grid(coarse_grid: Grid, coarse_values: np.ndarray, fine_grid: Grid) -> np.ndarray:
-    """Piecewise-linear (barycentric) interpolation between grids.
+def interpolate_to_grid(coarse_grid: Grid, coarse_values: np.ndarray, fine_grid: Grid,
+                        g) -> np.ndarray:
+    """Values on ``fine_grid``: ``g`` on its boundary, interpolated inside.
 
-    Fine points outside the convex hull of the coarse point set (possible
-    for boundary points, since the hull is inscribed in the domain) fall
-    back to nearest-neighbor values.
+    The interior points get the piecewise-linear (barycentric) interpolant
+    of the coarse values; those outside the convex hull of the coarse point
+    set (possible near the boundary, since the hull is inscribed in the
+    domain and can cut off a square's corner) fall back to nearest-neighbor
+    values.
     """
-    lin = LinearNDInterpolator(coarse_grid.points, coarse_values)
-    vals = lin(fine_grid.points)
+    ni = fine_grid.n_interior
+    inner = fine_grid.points[:ni]
+    vals = LinearNDInterpolator(coarse_grid.points, coarse_values)(inner)
     holes = ~np.isfinite(vals)
     if np.any(holes):
-        near = NearestNDInterpolator(coarse_grid.points, coarse_values)
-        vals[holes] = near(fine_grid.points[holes])
-    return vals
+        vals[holes] = NearestNDInterpolator(coarse_grid.points, coarse_values)(inner[holes])
+    return np.concatenate([vals, _evaluate(g, fine_grid.points[ni:])])
 
 
 def coarse_to_fine(problem, fine_n: int, coarse_n: int | None, backend: str, *,
@@ -290,8 +291,9 @@ def coarse_to_fine(problem, fine_n: int, coarse_n: int | None, backend: str, *,
     """Fine-grid initial guess from a converged coarse solve.
 
     Solves the problem on a ``coarse_n`` grid (Poisson start + Newton) and
-    interpolates the solution onto the ``fine_n`` grid.  ``coarse_n`` of
-    None defaults to ``ceil(fine_n / 4)`` (at least the backend minimum);
+    interpolates the solution onto the interior of the ``fine_n`` grid,
+    whose boundary gets ``problem.g``.  ``coarse_n`` of None defaults to
+    ``ceil(fine_n / 4)`` (at least the backend minimum);
     ``coarse_n == fine_n`` returns the coarse solution itself, which is
     exactly the direct solve path.
     """
@@ -310,4 +312,4 @@ def coarse_to_fine(problem, fine_n: int, coarse_n: int | None, backend: str, *,
         return u_c
     if fine_grid is None:
         fine_grid = build_grid(problem.domain, backend, fine_n, K)
-    return interpolate_to_grid(coarse_grid, u_c, fine_grid)
+    return interpolate_to_grid(coarse_grid, u_c, fine_grid, problem.g)

@@ -51,3 +51,23 @@ def test_newton_reaches_its_layers_through_the_solver_namespace(monkeypatch):
     # one residual at the start, then one per line-search trial (alpha halves)
     trials = sum(1 + round(-math.log2(alpha)) for alpha in report.alpha_history)
     assert calls["scheme_apply"] == 1 + trials
+
+
+@pytest.mark.parametrize("backend", ["cartesian", "hex"])
+def test_builders_reach_augment_boundary_through_the_meshing_namespace(backend, monkeypatch):
+    # The traced run times the boundary pass by wrapping this name in
+    # quadma.meshing, and test_meshing swaps in a reference through it; a
+    # builder holding its own binding would escape both.
+    from quadma import build_grid, meshing, square
+
+    calls = []
+    original = meshing.augment_boundary
+
+    def counted(*args, **kwargs):
+        calls.append(backend)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(meshing, "augment_boundary", counted)
+    grid = build_grid(square((0.0, 0.0), 1.0), backend, 16)
+    assert calls == [backend]
+    assert grid.n_points > grid.n_interior

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -148,6 +149,43 @@ def test_boundary_dedup_matches_reference(domain, backend, n, K):
 ])
 def test_boundary_dedup_matches_reference_on_fixed_grids(domain, backend, n, K):
     _assert_same_grid_as_reference(domain, backend, n, K)
+
+
+def _grid_digest(grid):
+    """SHA-256 over every array and scalar that defines a grid."""
+    digest = hashlib.sha256()
+    for array in (grid.points, grid.interior, grid.plus_index, grid.minus_index,
+                  grid.h_plus, grid.h_minus, grid.cp, grid.cm, grid.angles.angles):
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype}{array.shape}".encode() + array.tobytes())
+    digest.update(repr((grid.kind, grid.h, grid.r, sorted(grid.params.items()))).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("domain,backend,n,K,expected", [
+    (square((-1.0, -1.0), 2.0), "cartesian", 72, 5,
+     "517d5c1c7388d3d701a58d384007a2a195c1fc11b2e24068373c36fc03a2d7cf"),
+    (square((-1.0, -1.0), 2.0), "hex", 64, None,
+     "598c41252a103f08134f095448cf4314630c053558b40f5dd8f881b3cc5cc8c5"),
+    (rectangle((-0.3, 0.1), (1.7, 0.9)), "cartesian", 33, None,
+     "9facf1622fb9e72c09c765a79c4b9cce61e79987854d5421b21f70395823bc8d"),
+    (rectangle((-0.3, 0.1), (1.7, 0.9)), "hex", 40, None,
+     "9e6dcf46a040fc17267436c7e0f8195898ab36492de56899f23ce6794f063de0"),
+    (disc((0.1, 0.03), 0.77), "cartesian", 51, None,
+     "35e31f58831497fbf3ce99feead8e9e17949f05431d9444b6dfd2fe139e53819"),
+    (disc((0.1, 0.03), 0.77), "hex", 51, None,
+     "fd1a67a6dc1ad00c1a7fe9056aa51c706666b93c8b80d77a1d781e4684e9c650"),
+    (disc((0.0, 0.0), 1.0), "cartesian", 79, None,
+     "7abdcb035bdf1c6afd2ba1b616b1440690eeff95ce54c82face9062c38e48200"),
+    (disc((0.0, 0.0), 1.0), "hex", 79, None,
+     "dcbaf072fcedeaada5b075d3a7a61d316350f3ad4373fe3348fd3af3e799bf3c"),
+])
+def test_grid_matches_golden_digest(domain, backend, n, K, expected):
+    # Bit-for-bit pins on grids of both backends: the benchmark's square, a
+    # non-square rectangle, and the benchmark's two fixed discs, whose
+    # Cartesian grids (and the unit disc's hex grid) have arms ending at
+    # clearance-band nodes.  A layout change hashes the arrays node-major.
+    assert _grid_digest(build_grid(domain, backend, n, K)) == expected
 
 
 _corner = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
