@@ -41,7 +41,8 @@ Backends
 Interior points are stored first, in lexicographic ``(y, x)`` order;
 boundary points follow, numbered by the first arm that ends at each.  Arm
 end points within 1e-9*h of each other in the max norm are merged into one
-boundary point, chains of such points included.  (A greedy merge, first
+boundary point, chains of such points included; a sort-and-sweep over
+their coordinates finds the groups, with numpy alone.  (A greedy merge, first
 come first served, would differ only where a chain of points spans more
 than that tolerance; the tests compare against one, on random squares,
 rectangles and discs, and find no such chain.)  Construction
@@ -57,7 +58,6 @@ from functools import cached_property
 from typing import Literal, NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .angles import AngularDiscretization, hex_angles, l1_angles, l1_offsets
 from .domains import ConvexDomain, _boundary_crossings
@@ -178,6 +178,53 @@ class Grid:
                 f"{self.n_interior} interior, h={self.h:.4g}, r={self.r:.4g})")
 
 
+def _merge_labels(points: np.ndarray, tol: float) -> np.ndarray:
+    """The smallest index in every point's group, for ``points`` of shape ``(m, 2)``.
+
+    Two points are near when both coordinates differ by at most ``tol``;
+    the groups are the connected components of that relation, so chains
+    of near points, however long, are one group.  A sort-and-sweep finds
+    them without a spatial index (Bentley, Stanat and Williams, IPL 6,
+    1977): sorted by x, the points split into runs wherever consecutive x
+    differ by more than ``tol``, and every run, sorted by y, splits into
+    cells the same way.  Every near pair lands in one cell.  In a cell no
+    wider than ``tol`` in x, each point is near the next in y, so the cell
+    is one group; only a wider cell is searched pair by pair.
+    """
+    m = len(points)
+    if m == 0:
+        return np.zeros(0, dtype=np.int64)
+    x, y = points[:, 0], points[:, 1]
+    order = np.argsort(x, kind="stable")
+    run = np.concatenate([[0], np.cumsum(np.diff(x[order]) > tol)])
+    by_y = np.lexsort((y[order], run))
+    order, run = order[by_y], run[by_y]
+    xs, ys = x[order], y[order]
+    new = np.ones(m, dtype=bool)
+    new[1:] = (np.diff(run) != 0) | (np.diff(ys) > tol)
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], m)
+    labels = np.empty(m, dtype=np.int64)
+    labels[order] = np.repeat(np.minimum.reduceat(order, starts), ends - starts)
+
+    wide = np.flatnonzero(np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts) > tol)
+    for start, end in zip(starts[wide].tolist(), ends[wide].tolist()):
+        members = np.sort(order[start:end])
+        p = points[members]
+        near = np.all(np.abs(p[:, None, :] - p[None, :, :]) <= tol, axis=2)
+        # min over the neighbours (self included), then pointer jumping,
+        # until a pass changes nothing; labels are positions in members
+        own = np.arange(len(members))
+        while True:
+            low = np.where(near, own, len(members)).min(axis=1)
+            low = low[low]
+            if np.array_equal(low, own):
+                break
+            own = low
+        labels[members] = members[own]
+    return labels
+
+
 def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscretization,
                      plus_index, minus_index, h_plus, h_minus, *, dedup_tol):
     """Resolve stencil arms that exit the domain by inserting boundary points.
@@ -193,7 +240,8 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     ``dedup_tol`` of each other in the max norm, chains included, become
     one boundary point, numbered by the first arm (in that order) that
     ends there.  The work is vectorized over all arms: one bisection for
-    every crossing, and one k-d tree query for every near pair.
+    every crossing, and one sort-and-sweep (``_merge_labels``) for the
+    groups of end points.
 
     Returns the full point array (interior first, boundary appended), the
     interior mask, and the completed stencil arrays.
@@ -219,20 +267,8 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     ts[cross] = _boundary_crossings(domain, origins[cross], rays[cross], brackets[cross])
     crossings = origins + ts[:, None] * rays
 
-    # Merge end points within dedup_tol of each other in the max norm, chains
-    # included: each takes the smallest index in its group (min over the
-    # pairs, then pointer jumping, until a pass changes nothing), and the
-    # groups are numbered in order of that first end point.
-    first = np.arange(len(crossings))
-    pairs = cKDTree(crossings).query_pairs(dedup_tol, p=np.inf, output_type="ndarray")
-    while True:
-        last = first.copy()
-        np.minimum.at(first, pairs[:, 1], first[pairs[:, 0]])
-        np.minimum.at(first, pairs[:, 0], first[pairs[:, 1]])
-        first = first[first]
-        if np.array_equal(first, last):
-            break
-    heads, k = np.unique(first, return_inverse=True)
+    # groups are numbered in order of their first end point
+    heads, k = np.unique(_merge_labels(crossings, dedup_tol), return_inverse=True)
     plus_index[rows[plus], cols[plus]] = n_int + k[plus]
     h_plus[rows[plus], cols[plus]] = ts[plus]
     minus_index[rows[~plus], cols[~plus]] = n_int + k[~plus]

@@ -70,8 +70,12 @@ def default_params(grid: Grid, epsilon: float | None = None) -> SchemeParams:
 
 
 def _evaluate(func, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a (possibly scalar-returning) field on a point array."""
-    vals = np.asarray(func(pts), dtype=float)
+    """Evaluate a (possibly scalar-returning) field on a point array.
+
+    ``func`` may also be the field's values there already, which pass
+    through unchanged.
+    """
+    vals = np.asarray(func(pts) if callable(func) else func, dtype=float)
     return np.broadcast_to(vals, (len(pts),))
 
 
@@ -120,7 +124,9 @@ def scheme_apply(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> np.nd
 
     Interior nodes get the operator value plus ``f``; boundary nodes get
     ``u - g``.  A root of this residual solves the discrete Dirichlet
-    problem.
+    problem.  ``f`` and ``g`` are fields on point arrays, or their values
+    at the interior and the boundary points, which a solve that calls this
+    many times on one grid evaluates once.
     """
     if len(params.quadrature) != len(grid.angles):
         raise ValueError("quadrature rule does not match the grid's angle set")

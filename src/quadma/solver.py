@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
 
 from .meshing import Grid, build_grid
 from .operator import SchemeParams, _evaluate, _stencil_matrix, assemble_jacobian, \
@@ -220,10 +219,13 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
     if not np.all(np.isfinite(u)):
         raise ValueError("initial guess must be finite")
     ni = grid.n_interior
-    u[ni:] = _evaluate(g, grid.points[ni:])
+    # f and g are fixed on the grid: every residual reuses these values
+    fv = _evaluate(f, grid.points[:ni])
+    gv = _evaluate(g, grid.points[ni:])
+    u[ni:] = gv
     threshold = cfg.residual_threshold_factor * grid.h ** 2
 
-    res = scheme_apply(grid, u, params, f, g)
+    res = scheme_apply(grid, u, params, fv, gv)
     rnorm = float(np.abs(res).max())
     report = SolveReport(final_residual=rnorm, iterations=0, residual_history=[rnorm])
 
@@ -239,7 +241,7 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
         while True:
             trial = u.copy()
             trial[:ni] += alpha * step
-            res_trial = scheme_apply(grid, trial, params, f, g)
+            res_trial = scheme_apply(grid, trial, params, fv, gv)
             rnorm_trial = float(np.abs(res_trial).max())
             if rnorm_trial < rnorm:
                 break
@@ -276,6 +278,10 @@ def interpolate_to_grid(coarse_grid: Grid, coarse_values: np.ndarray, fine_grid:
     domain and can cut off a square's corner) fall back to nearest-neighbor
     values.
     """
+    # imported here, on the first warm start, so that a cold solve never
+    # loads scipy.interpolate or the scipy.spatial it brings along
+    from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
+
     ni = fine_grid.n_interior
     inner = fine_grid.points[:ni]
     vals = LinearNDInterpolator(coarse_grid.points, coarse_values)(inner)

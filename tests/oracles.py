@@ -137,3 +137,27 @@ def disc_reference(center=(0.0, 0.0), radius=1.0) -> ConvexDomain:
         return np.linalg.norm(p - c, axis=-1) - r
 
     return ConvexDomain(sdf, (cx - r, cx + r, cy - r, cy + r), name="disc")
+
+
+def merge_labels_reference(points, tol) -> np.ndarray:
+    """Smallest index in every point's connected component, by brute force.
+
+    Two points are joined when both coordinates differ by at most ``tol``
+    (the max-norm distance ``<= tol``, gaps of exactly ``tol`` included).
+    Builds all ``m**2`` distances and labels the components by a search
+    from each unlabelled point in index order, so the label is the smallest
+    index in the component.
+    """
+    points = np.asarray(points, dtype=float)
+    near = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2) <= tol
+    labels = np.full(len(points), -1)
+    for i in range(len(points)):
+        if labels[i] >= 0:
+            continue
+        labels[i] = i
+        stack = [i]
+        while stack:
+            for j in np.flatnonzero(near[stack.pop()] & (labels < 0)):
+                labels[j] = i
+                stack.append(j)
+    return labels

@@ -3,16 +3,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (augment_boundary_reference, boundary_crossings_reference, disc_reference,
-                     rectangle_reference)
+                     merge_labels_reference, rectangle_reference)
 from quadma import (ConvexDomain, build_grid, cartesian_mesh, default_stencil_depth,
                     disc, grid_diagnostics, grid_to_jsonable, hex_angles, hexagonal_mesh,
                     meshing, rectangle, square)
 from quadma.domains import _boundary_crossings
-from quadma.meshing import CLEARANCE
+from quadma.meshing import CLEARANCE, _merge_labels
 
 
 def _alignment_error(grid):
@@ -267,6 +267,42 @@ def test_boundary_dedup_tolerance_and_chains():
     # more than tol from point 0, the one stored
     _, _, greedy, *_ = augment(augment_boundary_reference)
     assert np.array_equal(greedy[:, 0] - n, [0, 0, 1, 2, 3, 2])
+
+
+# End points for the merge, mostly on a lattice of spacing 1/8 with a
+# tolerance of two steps: the coordinate differences are exact, so gaps of
+# exactly the tolerance occur, which count as near.
+_MERGE_TOL = 0.25
+_site = st.tuples(st.integers(0, 16), st.integers(0, 16))
+
+
+@st.composite
+def _end_points(draw):
+    sites = draw(st.lists(_site, min_size=1, max_size=30))
+    # a square's side: many points on one x
+    sites += [(0, y) for y in draw(st.lists(st.integers(0, 16), max_size=12))]
+    # chains along x, y and both diagonals, with steps of 0 (a duplicate),
+    # 1, 2 (exactly the tolerance) and 3 (a gap), so most span more than it
+    for _ in range(draw(st.integers(0, 3))):
+        dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1)]))
+        x0, y0 = draw(_site)
+        steps = np.cumsum(draw(st.lists(st.integers(0, 3), min_size=1, max_size=20)))
+        sites += [(x0 + dx * t, y0 + dy * t) for t in steps.tolist()]
+    off_lattice = draw(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)), max_size=12))
+    points = np.vstack([np.array(sites, dtype=float) / 8.0,
+                        np.array(off_lattice, dtype=float).reshape(-1, 2)])
+    return points[draw(st.permutations(range(len(points))))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(points=_end_points())
+@example(points=np.array([[0.3, -0.7]]))
+@example(points=np.zeros((0, 2)))
+def test_merge_labels_match_brute_force_components(points):
+    # the sort-and-sweep labels every end point with the smallest index of
+    # its connected component under max-norm distance <= tol
+    labels = _merge_labels(points, _MERGE_TOL)
+    assert np.array_equal(labels, merge_labels_reference(points, _MERGE_TOL))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

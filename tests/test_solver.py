@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -290,3 +292,26 @@ def test_tiny_arm_discs_converge(center, radius, backend, n):
     assert min(grid.h_plus.min(), grid.h_minus.min()) >= CLEARANCE * grid.h
     bound = _bench_error_bound(("ex1", backend, n, None, False, (*center, radius)), grid)
     assert max_error(grid, values, prob) <= bound
+
+
+_FOOTPRINT = """
+import sys
+import quadma
+from quadma import ex1, solve_problem
+loaded = lambda: [m for m in ("scipy.spatial", "scipy.interpolate") if m in sys.modules]
+print("import", loaded())
+print("cold", solve_problem(ex1(), "hex", 16)[2].converged, loaded())
+print("warm", solve_problem(ex1(), "hex", 16, warm_start=True)[2].converged)
+"""
+
+
+def test_cold_solve_loads_neither_scipy_spatial_nor_interpolate():
+    # scipy.spatial and scipy.interpolate cost about 20 MB of resident
+    # memory; only a warm start's interpolation needs them.  A fresh
+    # interpreter, so that no other test has imported them already.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["import []", "cold True []", "warm True"]
