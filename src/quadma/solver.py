@@ -63,9 +63,11 @@ class SolveReport:
     ``linear_solves`` names the path of each Newton linear solve
     (``"bicgstab"``, ``"lu"`` or ``"lu+shift"``, see ``_solve_linear``),
     ``linear_iterations`` counts its BiCGSTAB iterations (also when the step
-    then fell back to LU) and ``forcing`` holds the relative tolerance
-    ``eta`` it was given.  Each has one entry per iteration, plus one for
-    the step whose line search stalled, if any.
+    then fell back to LU): the full ones, plus one if BiCGSTAB stopped
+    halfway through an iteration, at its test after the first half step.
+    ``forcing`` holds the relative tolerance ``eta`` it was given.  Each
+    has one entry per iteration, plus one for the step whose line search
+    stalled, if any.
     """
 
     final_residual: float
@@ -178,8 +180,9 @@ def _solve_linear(A: sp.csr_matrix, b: np.ndarray, rtol: float) -> tuple[np.ndar
             applied += 1
             return inv_diag * v
 
+        # with its dtype given, scipy does not call jacobi once more to infer it
         x, info = spla.bicgstab(A, b, rtol=rtol, atol=0.0, maxiter=BICGSTAB_MAXITER,
-                                M=spla.LinearOperator(A.shape, matvec=jacobi))
+                                M=spla.LinearOperator(A.shape, matvec=jacobi, dtype=A.dtype))
         # two preconditioner applications per iteration, one if it stops halfway
         iterations = (applied + 1) // 2
         if info == 0 and np.all(np.isfinite(x)):
@@ -273,21 +276,46 @@ def interpolate_to_grid(coarse_grid: Grid, coarse_values: np.ndarray, fine_grid:
     """Values on ``fine_grid``: ``g`` on its boundary, interpolated inside.
 
     The interior points get the piecewise-linear (barycentric) interpolant
-    of the coarse values; those outside the convex hull of the coarse point
-    set (possible near the boundary, since the hull is inscribed in the
-    domain and can cut off a square's corner) fall back to nearest-neighbor
-    values.
+    of the coarse values on the Delaunay triangulation of the coarse points;
+    those outside its convex hull (possible near the boundary, since the
+    hull is inscribed in the domain and can cut off a square's corner) take
+    the value of their nearest coarse point.  The values equal, bit for bit,
+    those of scipy's ``LinearNDInterpolator`` with a
+    ``NearestNDInterpolator`` fallback, which run the same algorithm.
+    ``coarse_values`` holds one value per coarse point, else ValueError.
     """
     # imported here, on the first warm start, so that a cold solve never
-    # loads scipy.interpolate or the scipy.spatial it brings along
-    from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
+    # loads scipy.spatial; scipy.interpolate, whose interpolators would add
+    # about 12 MB of resident memory for the same arithmetic, is never loaded
+    from scipy.spatial import Delaunay, cKDTree
 
+    coarse_values = np.asarray(coarse_values, dtype=float)
+    if coarse_values.shape != (coarse_grid.n_points,):
+        raise ValueError(f"coarse_values has shape {coarse_values.shape}, "
+                         f"expected ({coarse_grid.n_points},)")
     ni = fine_grid.n_interior
     inner = fine_grid.points[:ni]
-    vals = LinearNDInterpolator(coarse_grid.points, coarse_values)(inner)
-    holes = ~np.isfinite(vals)
-    if np.any(holes):
-        vals[holes] = NearestNDInterpolator(coarse_grid.points, coarse_values)(inner[holes])
+    tri = Delaunay(coarse_grid.points)
+    # the interpolator's own search differs from find_simplex only in a
+    # tolerance used beside degenerate triangles; on the library's grids these
+    # are slivers of collinear points on a rectangle's side, which interior
+    # points keep meshing.CLEARANCE * h away from
+    s = tri.find_simplex(inner)
+    found = s >= 0
+    # barycentric coordinates and their weighted sum in the order of scipy's
+    # Cython loop (c2 = (1 - c0) - c1, then c0 v0 + c1 v1 + c2 v2), so that
+    # warm starts stay bit-identical to LinearNDInterpolator's;
+    # 1 - (c0 + c1) rounds differently on about a third of the points
+    T = tri.transform[s[found]]
+    d = inner[found] - T[:, 2]
+    c0 = T[:, 0, 0] * d[:, 0] + T[:, 0, 1] * d[:, 1]
+    c1 = T[:, 1, 0] * d[:, 0] + T[:, 1, 1] * d[:, 1]
+    v = coarse_values[tri.simplices[s[found]]]
+    vals = np.empty(ni)
+    vals[found] = c0 * v[:, 0] + c1 * v[:, 1] + ((1.0 - c0) - c1) * v[:, 2]
+    if not np.all(found):
+        _, nearest = cKDTree(coarse_grid.points).query(inner[~found])
+        vals[~found] = coarse_values[nearest]
     return np.concatenate([vals, _evaluate(g, fine_grid.points[ni:])])
 
 

@@ -7,12 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
+from oracles import interpolate_to_grid_reference
 from quadma import (BenchmarkProblem, NewtonConfig, assemble_jacobian, build_grid,
                     coarse_to_fine, damped_newton, default_params, disc, ex1, ex4, max_error,
-                    poisson_init, scheme_apply, solve_problem, square, solver)
+                    poisson_init, rectangle, scheme_apply, solve_problem, square, solver)
 from quadma.meshing import CLEARANCE
-from quadma.solver import _laplacian_system, _solve_linear
+from quadma.solver import _laplacian_system, _solve_linear, interpolate_to_grid
 
 
 def quad_data(p):
@@ -112,6 +116,30 @@ def test_solve_linear_krylov_matches_lu(backend, n, K):
     assert path == "bicgstab"
     y_lu = spla.splu(A.tocsc()).solve(b)
     assert np.linalg.norm(y - y_lu) <= 1e-7 * np.linalg.norm(y_lu)
+
+
+@pytest.mark.parametrize("backend,n", [("hex", 32), ("cartesian", 32), ("hex", 16)])
+def test_solve_linear_counts_scipy_bicgstab_iterations(backend, n):
+    # the count is scipy's full iterations (one callback each), plus one if
+    # BiCGSTAB stopped halfway, after the update of x that follows the last
+    # callback; ex1's Newton systems at the Poisson start
+    prob = ex1()
+    grid = build_grid(prob.domain, backend, n)
+    params = default_params(grid)
+    u0 = poisson_init(grid, prob.f, prob.g)
+    A = assemble_jacobian(grid, u0, params)
+    b = -scheme_apply(grid, u0, params, prob.f, prob.g)[:grid.n_interior]
+    inv_diag = 1.0 / A.diagonal()
+    M = spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v, dtype=A.dtype)
+    for rtol in (0.1, 1e-3, 1e-6):
+        iterates = [np.zeros_like(b)]
+        x, info = spla.bicgstab(A, b, rtol=rtol, atol=0.0, M=M,
+                                callback=lambda xk: iterates.append(xk.copy()))
+        assert info == 0
+        halfway = not np.array_equal(x, iterates[-1])
+        y, path, iterations = _solve_linear(A, b, rtol)
+        assert path == "bicgstab" and np.array_equal(y, x)
+        assert iterations == len(iterates) - 1 + halfway
 
 
 def test_solve_linear_zero_row_falls_back_to_shifted_lu():
@@ -219,6 +247,50 @@ def test_coarse_to_fine_constant_exact():
         assert np.abs(u0 - 2.5).max() <= 1e-12
 
 
+_coords = st.floats(-1.0, 1.0)
+_domains = st.one_of(
+    st.builds(square, st.tuples(_coords, _coords), st.floats(0.5, 2.0)),
+    st.builds(lambda ll, w, a: rectangle(ll, (w, a * w)), st.tuples(_coords, _coords),
+              st.floats(0.5, 2.0), st.floats(0.3, 3.0)),
+    st.builds(disc, st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), st.floats(0.3, 1.5)),
+)
+
+
+def _assert_interpolant_matches_reference(domain, backend, coarse_n, fine_n, seed):
+    coarse = build_grid(domain, backend, coarse_n)
+    fine = build_grid(domain, backend, fine_n)
+    values = np.random.default_rng(seed).standard_normal(coarse.n_points)
+    g = lambda p: np.sin(p[:, 0]) + p[:, 1] ** 2
+    assert np.array_equal(interpolate_to_grid(coarse, values, fine, g),
+                          interpolate_to_grid_reference(coarse, values, fine, g))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(domain=_domains, backend=st.sampled_from(["cartesian", "hex"]),
+       coarse_n=st.integers(10, 30), extra=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_interpolation_matches_scipy_interpolators(domain, backend, coarse_n, extra, seed):
+    # the barycentric interpolant on scipy.spatial's Delaunay triangulation,
+    # with the nearest coarse value outside its hull, is bit for bit what
+    # scipy.interpolate's LinearNDInterpolator and NearestNDInterpolator give
+    _assert_interpolant_matches_reference(domain, backend, coarse_n, coarse_n + extra, seed)
+
+
+def test_interpolation_matches_scipy_interpolators_outside_the_hull():
+    # hex n=8 -> 33 on (-1, 1)^2: two fine interior points lie outside the
+    # hull of the coarse points and take the nearest-point value
+    domain = square((-1.0, -1.0), 2.0)
+    coarse, fine = build_grid(domain, "hex", 8), build_grid(domain, "hex", 33)
+    assert np.sum(Delaunay(coarse.points).find_simplex(fine.points[:fine.n_interior]) < 0) == 2
+    _assert_interpolant_matches_reference(domain, "hex", 8, 33, 7)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_interpolation_rejects_values_of_the_wrong_length(cart_grid, hex_grid, extra):
+    values = np.zeros(cart_grid.n_points + extra)
+    with pytest.raises(ValueError):
+        interpolate_to_grid(cart_grid, values, hex_grid, lambda p: np.zeros(len(p)))
+
+
 def test_coarse_to_fine_rejects_finer_coarse():
     with pytest.raises(ValueError):
         coarse_to_fine(ex1(), 16, 32, "hex")
@@ -301,17 +373,18 @@ from quadma import ex1, solve_problem
 loaded = lambda: [m for m in ("scipy.spatial", "scipy.interpolate") if m in sys.modules]
 print("import", loaded())
 print("cold", solve_problem(ex1(), "hex", 16)[2].converged, loaded())
-print("warm", solve_problem(ex1(), "hex", 16, warm_start=True)[2].converged)
+print("warm", solve_problem(ex1(), "hex", 16, warm_start=True)[2].converged, loaded())
 """
 
 
 def test_cold_solve_loads_neither_scipy_spatial_nor_interpolate():
-    # scipy.spatial and scipy.interpolate cost about 20 MB of resident
-    # memory; only a warm start's interpolation needs them.  A fresh
-    # interpreter, so that no other test has imported them already.
+    # scipy.spatial costs about 8 MB of resident memory and scipy.interpolate
+    # 12 MB more; only a warm start's interpolation needs scipy.spatial, and
+    # nothing needs scipy.interpolate.  A fresh interpreter, so that no other
+    # test has imported them already.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
-    assert out == ["import []", "cold True []", "warm True"]
+    assert out == ["import []", "cold True []", "warm True ['scipy.spatial']"]
