@@ -14,8 +14,11 @@ Newton closes in, while the stopping test stays on the true
 nonlinear residual.  The initial guess solves a linear Dirichlet problem for
 the discrete Laplacian with right-hand side ``sqrt(2 f)``, the
 linearization of the determinant equation around an isotropic Hessian.  A
-coarse-to-fine warm start (solve small, interpolate, then polish) is
-available for larger runs.
+coarse-to-fine warm start (solve small, prolong, then polish) is available
+for larger runs; its prolongation takes, at every fine interior point, the
+second-order Taylor polynomial about the nearest coarse interior node, with
+the gradient and Hessian fitted to that node's stencil differences, so it
+reproduces quadratics and keeps the curvature the scheme acts on.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from .meshing import Grid, build_grid
 from .operator import SchemeParams, _evaluate, _stencil_matrix, assemble_jacobian, \
-    default_params, scheme_apply
+    default_params, scheme_apply, sdd_matrix
 from .quadrature import trapezoid_weights
 
 __all__ = ["NewtonConfig", "SolveReport", "poisson_init", "damped_newton", "coarse_to_fine"]
@@ -130,9 +133,10 @@ def poisson_init(grid: Grid, f, g) -> np.ndarray:
     return np.concatenate([x, gv])
 
 
-# BiCGSTAB iteration cap per Newton step.  On ex1-ex4 up to n=128 (about 16k
-# interior unknowns) the solves took at most about 230 iterations; a solve
-# that reaches the cap falls back to the LU path.
+# BiCGSTAB iteration cap per Newton step.  On ex1-ex4 from the Poisson start,
+# both backends, no step took more than 68 iterations at n=128 (ex2 on hex)
+# or 194 at n=256 (ex1 on hex, 28178 interior unknowns); a solve that
+# reaches the cap falls back to the LU path.
 BICGSTAB_MAXITER = 2000
 
 # Eisenstat-Walker choice 2 (alpha = 2, gamma = 0.9) for the forcing terms:
@@ -271,51 +275,104 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
     return u, report
 
 
+def _nearest_node(nodes: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of the node nearest to each query point, ties to the smallest index.
+
+    ``nodes`` are distinct and in lexicographic ``(y, x)`` order, as a
+    grid's interior points are, so they fall into rows of equal y.  The
+    squared distance is ``dx*dx + dy*dy``.  Each pass visits, for every
+    query, the next row above and the next row below it, until no row left
+    on either side has ``dy*dy`` within the best squared distance so far.
+    In a row the nearest nodes are the two beside the query in x (a farther
+    node could only tie them by roundoff, where ``dy*dy`` swamps ``dx*dx``);
+    one search over the keys ``(row, rank of x)``, exact integers sorted
+    like the nodes, finds them in every row at once.
+    """
+    x, y = nodes[:, 0], nodes[:, 1]
+    qx, qy = queries[:, 0], queries[:, 1]
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    row_y = y[starts]
+    row = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(y)]))
+    xs, rank = np.unique(np.concatenate([x, qx]), return_inverse=True)
+    keys = row * len(xs) + rank[:len(x)]
+    q_keys = rank[len(x):]
+
+    best = np.full(len(queries), np.inf)
+    nearest = np.zeros(len(queries), dtype=np.int64)
+    up = np.searchsorted(row_y, qy)  # rows up, up + 1, ... lie at or above the query
+    down = up - 1
+    todo = np.arange(len(queries))
+    while todo.size:
+        visited = np.zeros(len(todo), dtype=bool)
+        for side in (up, down):
+            r = side[todo]
+            near = (r >= 0) & (r < len(row_y))
+            near[near] = (qy[todo[near]] - row_y[r[near]]) ** 2 <= best[todo[near]]
+            visited |= near
+            q, r = todo[near], r[near]
+            right = np.searchsorted(keys, r * len(xs) + q_keys[q])
+            for c in (right - 1, right):  # the smaller index first
+                ok = (c >= 0) & (c < len(x))
+                ok[ok] = row[c[ok]] == r[ok]
+                qo, co = q[ok], c[ok]
+                d2 = (x[co] - qx[qo]) ** 2 + (y[co] - qy[qo]) ** 2
+                better = (d2 < best[qo]) | ((d2 == best[qo]) & (co < nearest[qo]))
+                best[qo[better]] = d2[better]
+                nearest[qo[better]] = co[better]
+        up[todo] += 1
+        down[todo] -= 1
+        todo = todo[visited]
+    return nearest
+
+
+def _taylor_coefficients(grid: Grid, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient ``(ux, uy)`` and Hessian ``(uxx, uxy, uyy)`` of ``u`` at every interior node.
+
+    Along each stencil angle ``e_j`` the arms give the first difference
+    ``(h-**2 (u+ - u0) + h+**2 (u0 - u-)) / (h+ h- (h+ + h-))`` and the
+    second difference ``D_j``, exact on quadratics for ``grad u . e_j`` and
+    ``e_j' H e_j``; both are fitted by least squares over the angles.  With
+    only the two axis angles (Cartesian K = 1) the cross term ``uxy`` is
+    not determined, and the minimum-norm fit sets it to 0.
+    """
+    ni = grid.n_interior
+    uc = u[:ni, None]
+    up, um = u[grid.plus_index] - uc, u[grid.minus_index] - uc
+    hp, hm = grid.h_plus, grid.h_minus
+    first = (hm ** 2 * up - hp ** 2 * um) / (hp * hm * (hp + hm))
+    c, s = grid.angles.directions().T
+    gradient = first @ np.linalg.pinv(np.column_stack([c, s])).T
+    hessian = sdd_matrix(grid, u) @ np.linalg.pinv(np.column_stack([c * c, 2 * c * s, s * s])).T
+    return gradient, hessian
+
+
 def interpolate_to_grid(coarse_grid: Grid, coarse_values: np.ndarray, fine_grid: Grid,
                         g) -> np.ndarray:
-    """Values on ``fine_grid``: ``g`` on its boundary, interpolated inside.
+    """Values on ``fine_grid``: ``g`` on its boundary, prolonged from the coarse grid inside.
 
-    The interior points get the piecewise-linear (barycentric) interpolant
-    of the coarse values on the Delaunay triangulation of the coarse points;
-    those outside its convex hull (possible near the boundary, since the
-    hull is inscribed in the domain and can cut off a square's corner) take
-    the value of their nearest coarse point.  The values equal, bit for bit,
-    those of scipy's ``LinearNDInterpolator`` with a
-    ``NearestNDInterpolator`` fallback, which run the same algorithm.
-    ``coarse_values`` holds one value per coarse point, else ValueError.
+    Every fine interior point takes the second-order Taylor polynomial of
+    the coarse values about its nearest coarse interior node, with the
+    gradient and Hessian fitted to that node's stencil differences (see
+    ``_taylor_coefficients``).  The prolongation reproduces quadratics, and
+    so keeps the curvature the scheme acts on; on a Cartesian K = 1 coarse
+    grid, whose two angles cannot fit the cross term, it reproduces the
+    quadratics without an ``xy`` term.  ``coarse_values`` holds one value
+    per coarse point, else ValueError.
     """
-    # imported here, on the first warm start, so that a cold solve never
-    # loads scipy.spatial; scipy.interpolate, whose interpolators would add
-    # about 12 MB of resident memory for the same arithmetic, is never loaded
-    from scipy.spatial import Delaunay, cKDTree
-
     coarse_values = np.asarray(coarse_values, dtype=float)
     if coarse_values.shape != (coarse_grid.n_points,):
         raise ValueError(f"coarse_values has shape {coarse_values.shape}, "
                          f"expected ({coarse_grid.n_points},)")
     ni = fine_grid.n_interior
     inner = fine_grid.points[:ni]
-    tri = Delaunay(coarse_grid.points)
-    # the interpolator's own search differs from find_simplex only in a
-    # tolerance used beside degenerate triangles; on the library's grids these
-    # are slivers of collinear points on a rectangle's side, which interior
-    # points keep meshing.CLEARANCE * h away from
-    s = tri.find_simplex(inner)
-    found = s >= 0
-    # barycentric coordinates and their weighted sum in the order of scipy's
-    # Cython loop (c2 = (1 - c0) - c1, then c0 v0 + c1 v1 + c2 v2), so that
-    # warm starts stay bit-identical to LinearNDInterpolator's;
-    # 1 - (c0 + c1) rounds differently on about a third of the points
-    T = tri.transform[s[found]]
-    d = inner[found] - T[:, 2]
-    c0 = T[:, 0, 0] * d[:, 0] + T[:, 0, 1] * d[:, 1]
-    c1 = T[:, 1, 0] * d[:, 0] + T[:, 1, 1] * d[:, 1]
-    v = coarse_values[tri.simplices[s[found]]]
-    vals = np.empty(ni)
-    vals[found] = c0 * v[:, 0] + c1 * v[:, 1] + ((1.0 - c0) - c1) * v[:, 2]
-    if not np.all(found):
-        _, nearest = cKDTree(coarse_grid.points).query(inner[~found])
-        vals[~found] = coarse_values[nearest]
+    nodes = coarse_grid.points[:coarse_grid.n_interior]
+    k = _nearest_node(nodes, inner)
+    gradient, hessian = _taylor_coefficients(coarse_grid, coarse_values)
+    dx, dy = (inner - nodes[k]).T
+    ux, uy = gradient[k].T
+    uxx, uxy, uyy = hessian[k].T
+    vals = (coarse_values[k] + ux * dx + uy * dy
+            + 0.5 * (uxx * dx * dx + 2.0 * uxy * dx * dy + uyy * dy * dy))
     return np.concatenate([vals, _evaluate(g, fine_grid.points[ni:])])
 
 
@@ -325,9 +382,11 @@ def coarse_to_fine(problem, fine_n: int, coarse_n: int | None, backend: str, *,
     """Fine-grid initial guess from a converged coarse solve.
 
     Solves the problem on a ``coarse_n`` grid (Poisson start + Newton) and
-    interpolates the solution onto the interior of the ``fine_n`` grid,
-    whose boundary gets ``problem.g``.  ``coarse_n`` of None defaults to
-    ``ceil(fine_n / 4)`` (at least the backend minimum);
+    prolongs the solution onto the interior of the ``fine_n`` grid by the
+    coarse nodes' Taylor polynomials (``interpolate_to_grid``, which
+    reproduces quadratics); the fine boundary gets ``problem.g``.
+    ``coarse_n`` of None defaults to ``ceil(fine_n / 4)`` (at least the
+    backend minimum);
     ``coarse_n == fine_n`` returns the coarse solution itself, which is
     exactly the direct solve path.
     """

@@ -162,17 +162,3 @@ def merge_labels_reference(points, tol) -> np.ndarray:
                 stack.append(j)
     return labels
 
-
-def interpolate_to_grid_reference(coarse_grid, coarse_values, fine_grid, g) -> np.ndarray:
-    """``solver.interpolate_to_grid`` by scipy's ``LinearNDInterpolator``,
-    with ``NearestNDInterpolator`` for the fine points outside the convex
-    hull of the coarse points (where the linear interpolant is NaN)."""
-    from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
-
-    ni = fine_grid.n_interior
-    inner = fine_grid.points[:ni]
-    vals = LinearNDInterpolator(coarse_grid.points, coarse_values)(inner)
-    holes = ~np.isfinite(vals)
-    if np.any(holes):
-        vals[holes] = NearestNDInterpolator(coarse_grid.points, coarse_values)(inner[holes])
-    return np.concatenate([vals, g(fine_grid.points[ni:])])

@@ -7,16 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Delaunay
 
-from oracles import interpolate_to_grid_reference
 from quadma import (BenchmarkProblem, NewtonConfig, assemble_jacobian, build_grid,
                     coarse_to_fine, damped_newton, default_params, disc, ex1, ex4, max_error,
                     poisson_init, rectangle, scheme_apply, solve_problem, square, solver)
 from quadma.meshing import CLEARANCE
-from quadma.solver import _laplacian_system, _solve_linear, interpolate_to_grid
+from quadma.solver import _laplacian_system, _nearest_node, _solve_linear, interpolate_to_grid
 
 
 def quad_data(p):
@@ -227,6 +225,14 @@ def test_coarse_to_fine_warm_start_not_slower():
     _, _, rep_warm, _ = solve_problem(prob, "cartesian", 33, warm_start=True, coarse_n=17)
     assert rep_warm.converged
     assert rep_warm.iterations <= rep_cold.iterations
+    # hex on a disc: a prolongation that loses the coarse solution's
+    # curvature (piecewise-linear, say) starts Newton 10 steps away here,
+    # where the cold start takes 4
+    disc_prob = BenchmarkProblem("ex1-disc", disc((0.1, -0.05), 0.9), prob.u_exact, prob.f, prob.g)
+    _, _, rep_cold, _ = solve_problem(disc_prob, "hex", 80)
+    _, _, rep_warm, _ = solve_problem(disc_prob, "hex", 80, warm_start=True)
+    assert rep_cold.converged and rep_warm.converged
+    assert rep_warm.iterations <= rep_cold.iterations + 1
 
 
 def test_coarse_equals_fine_is_direct_solve():
@@ -256,32 +262,68 @@ _domains = st.one_of(
 )
 
 
-def _assert_interpolant_matches_reference(domain, backend, coarse_n, fine_n, seed):
-    coarse = build_grid(domain, backend, coarse_n)
-    fine = build_grid(domain, backend, fine_n)
-    values = np.random.default_rng(seed).standard_normal(coarse.n_points)
-    g = lambda p: np.sin(p[:, 0]) + p[:, 1] ** 2
-    assert np.array_equal(interpolate_to_grid(coarse, values, fine, g),
-                          interpolate_to_grid_reference(coarse, values, fine, g))
+_coefficients = st.tuples(*[st.floats(-2.0, 2.0)] * 6)
+
+
+def _quadratic(c):
+    return lambda p: (c[0] + c[1] * p[:, 0] + c[2] * p[:, 1] + c[3] * p[:, 0] ** 2
+                      + c[4] * p[:, 0] * p[:, 1] + c[5] * p[:, 1] ** 2)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(domain=_domains, backend=st.sampled_from(["cartesian", "hex"]),
-       coarse_n=st.integers(10, 30), extra=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
-def test_interpolation_matches_scipy_interpolators(domain, backend, coarse_n, extra, seed):
-    # the barycentric interpolant on scipy.spatial's Delaunay triangulation,
-    # with the nearest coarse value outside its hull, is bit for bit what
-    # scipy.interpolate's LinearNDInterpolator and NearestNDInterpolator give
-    _assert_interpolant_matches_reference(domain, backend, coarse_n, coarse_n + extra, seed)
+@given(domain=_domains, backend=st.sampled_from(["cartesian", "hex"]), K=st.integers(2, 4),
+       coarse_n=st.integers(12, 30), extra=st.integers(1, 30), c=_coefficients)
+def test_interpolation_reproduces_quadratics(domain, backend, K, coarse_n, extra, c):
+    # the gradient and Hessian fitted to a coarse node's stencil differences
+    # are exact on quadratics, so each Taylor polynomial is the quadratic itself
+    K = K if backend == "cartesian" else None
+    coarse = build_grid(domain, backend, coarse_n, K)
+    fine = build_grid(domain, backend, coarse_n + extra, K)
+    u = _quadratic(c)
+    scale = max(1.0, np.abs(u(coarse.points)).max())
+    values = interpolate_to_grid(coarse, u(coarse.points), fine, u)
+    assert np.abs(values - u(fine.points)).max() <= 1e-9 * scale
 
 
-def test_interpolation_matches_scipy_interpolators_outside_the_hull():
-    # hex n=8 -> 33 on (-1, 1)^2: two fine interior points lie outside the
-    # hull of the coarse points and take the nearest-point value
-    domain = square((-1.0, -1.0), 2.0)
-    coarse, fine = build_grid(domain, "hex", 8), build_grid(domain, "hex", 33)
-    assert np.sum(Delaunay(coarse.points).find_simplex(fine.points[:fine.n_interior]) < 0) == 2
-    _assert_interpolant_matches_reference(domain, "hex", 8, 33, 7)
+@pytest.mark.parametrize("fine_backend,fine_K", [("cartesian", 1), ("cartesian", 3), ("hex", None)])
+def test_interpolation_from_two_angles_misses_only_the_cross_term(fine_backend, fine_K):
+    # a Cartesian K = 1 coarse grid has only the axis angles, whose second
+    # differences do not see uxy: quadratics without an xy term are still
+    # reproduced, and the cross term is left out
+    domain = disc((0.2, -0.1), 0.8)
+    coarse = build_grid(domain, "cartesian", 13, 1)
+    fine = build_grid(domain, fine_backend, 37, fine_K)
+
+    def error(u):
+        return np.abs(interpolate_to_grid(coarse, u(coarse.points), fine, u) - u(fine.points)).max()
+
+    assert error(_quadratic((0.4, -0.3, 0.9, 1.2, 0.0, 0.7))) <= 1e-12
+    assert error(_quadratic((0.4, -0.3, 0.9, 1.2, 0.5, 0.7))) > 1e-4
+
+
+_lattice = st.integers(-8, 8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(nodes=st.lists(st.tuples(_lattice, _lattice), min_size=1, max_size=40, unique=True),
+       queries=st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), min_size=1,
+                        max_size=40),
+       one_row=st.booleans())
+@example(nodes=[(0, -3), (5, -1), (3, 0)], queries=[(0, 0)], one_row=False)
+def test_nearest_node_matches_brute_force(nodes, queries, one_row):
+    # nodes on the integer lattice in [-8, 8]^2 and queries on the
+    # half-integer one in [-30, 30]^2, most far outside the nodes' box:
+    # distances are exact, so midpoints tie exactly, and the smallest index
+    # must win, as argmin's first minimum does.  The example
+    # ties across rows: (3, 0), in the query's own row, and (0, -3), two
+    # rows down, are both 3 away, and the second has the smaller index.
+    nodes = np.array(nodes, dtype=float)
+    if one_row:
+        nodes = np.unique(np.column_stack([nodes[:, 0], np.full(len(nodes), 3.0)]), axis=0)
+    nodes = nodes[np.lexsort((nodes[:, 0], nodes[:, 1]))]
+    queries = 0.5 * np.array(queries, dtype=float)
+    distances = ((queries[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(_nearest_node(nodes, queries), distances.argmin(axis=1))
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -377,14 +419,13 @@ print("warm", solve_problem(ex1(), "hex", 16, warm_start=True)[2].converged, loa
 """
 
 
-def test_cold_solve_loads_neither_scipy_spatial_nor_interpolate():
+def test_solves_load_neither_scipy_spatial_nor_interpolate():
     # scipy.spatial costs about 8 MB of resident memory and scipy.interpolate
-    # 12 MB more; only a warm start's interpolation needs scipy.spatial, and
-    # nothing needs scipy.interpolate.  A fresh interpreter, so that no other
-    # test has imported them already.
+    # 12 MB more, and no solve, cold or warm, needs either.  A fresh
+    # interpreter, so that no other test has imported them already.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
-    assert out == ["import []", "cold True []", "warm True ['scipy.spatial']"]
+    assert out == ["import []", "cold True []", "warm True []"]
