@@ -128,13 +128,18 @@ def solve_problem(problem: BenchmarkProblem, backend: str, n: int, *,
                   coarse_n: int | None = None):
     """Build the grid and parameters for a benchmark and run the solver.
 
-    Returns ``(grid, values, report, params)``.
+    Newton starts from the Poisson initial guess, or with ``warm_start``
+    from ``coarse_to_fine`` on a coarse grid of size ``coarse_n`` (its
+    default rule if None), which must be below ``n``.  A ``coarse_n``
+    without ``warm_start`` is a ValueError.  Returns
+    ``(grid, values, report, params)``.
     """
+    if coarse_n is not None and not warm_start:
+        raise ValueError("coarse_n sets the coarse grid of a warm start; it needs warm_start")
     grid = build_grid(problem.domain, backend, n, K)
     params = default_params(grid, epsilon)
-    if warm_start and (coarse_n is None or coarse_n < n):
-        u0 = coarse_to_fine(problem, n, coarse_n, backend, K=K, epsilon=epsilon,
-                            cfg=cfg, fine_grid=grid)
+    if warm_start:
+        u0 = coarse_to_fine(problem, grid, coarse_n, K=K, epsilon=epsilon, cfg=cfg)
     else:
         u0 = poisson_init(grid, problem.f, problem.g)
     values, report = damped_newton(grid, params, problem.f, problem.g, u0, cfg)

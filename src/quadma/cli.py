@@ -12,6 +12,7 @@ writes the rows that completed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -139,17 +140,7 @@ def _cmd_solve(args) -> int:
         "h": grid.h,
         "epsilon": params.epsilon,
         "max_error": err,
-        "report": {
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "final_residual": report.final_residual,
-            "alpha_history": report.alpha_history,
-            "residual_history": report.residual_history,
-            "message": report.message,
-            "linear_solves": report.linear_solves,
-            "linear_iterations": report.linear_iterations,
-            "forcing": report.forcing,
-        },
+        "report": dataclasses.asdict(report),
         "points": grid.points.tolist(),
         "interior": grid.interior.astype(int).tolist(),
         "values": values.tolist(),
@@ -252,10 +243,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--verbose", action="store_true",
-                       help="log Newton progress to standard error")
 
     def problem_flags(p):
+        p.add_argument("--verbose", action="store_true",
+                       help="log Newton progress to standard error")
         p.add_argument("--problem", choices=sorted(BENCHMARKS), required=True)
         p.add_argument("--backend", choices=["hex", "cartesian"], required=True)
         p.add_argument("--epsilon", type=float, help="regularization override")

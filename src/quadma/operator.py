@@ -119,6 +119,17 @@ def _stencil_matrix(grid: Grid, G: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_ma
     return _interior_block(grid, data), B
 
 
+def _branches(grid: Grid, u: np.ndarray, params: SchemeParams):
+    """``(D, max(D, eps), S)`` at ``u``, ``S = 1/pi * sum_j w_j / max(D_j, eps)``:
+    the branches that the residual and the Jacobian both read.  A rule for
+    another angle set is a ValueError."""
+    if len(params.quadrature) != len(grid.angles):
+        raise ValueError("quadrature rule does not match the grid's angle set")
+    D = sdd_matrix(grid, u)
+    Dmax = np.maximum(D, params.epsilon)
+    return D, Dmax, (1.0 / Dmax) @ params.quadrature.weights / np.pi
+
+
 def scheme_apply(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> np.ndarray:
     """Residual of the discrete problem at every grid point.
 
@@ -128,15 +139,9 @@ def scheme_apply(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> np.nd
     at the interior and the boundary points, which a solve that calls this
     many times on one grid evaluates once.
     """
-    if len(params.quadrature) != len(grid.angles):
-        raise ValueError("quadrature rule does not match the grid's angle set")
     u = np.asarray(u, dtype=float)
-    eps = params.epsilon
-    w = params.quadrature.weights
-
-    D = sdd_matrix(grid, u)
-    S = (1.0 / np.maximum(D, eps)) @ w / np.pi
-    interior_vals = -S ** -2.0 - np.minimum(D.min(axis=1), eps)
+    D, _, S = _branches(grid, u, params)
+    interior_vals = -S ** -2.0 - np.minimum(D.min(axis=1), params.epsilon)
 
     res = np.empty(grid.n_points)
     ni = grid.n_interior
@@ -154,14 +159,9 @@ def _jacobian_coefficients(grid: Grid, u: np.ndarray, params: SchemeParams) -> n
     constant branch is chosen, so the result is an element of the
     subdifferential.
     """
-    u = np.asarray(u, dtype=float)
     eps = params.epsilon
     w = params.quadrature.weights
-
-    D = sdd_matrix(grid, u)
-    Dmax = np.maximum(D, eps)
-    S = (1.0 / Dmax) @ w / np.pi
-
+    D, Dmax, S = _branches(grid, u, params)
     G = np.where(D > eps, -(2.0 * S ** -3.0)[:, None] * (w / np.pi) / Dmax ** 2, 0.0)
     j = D.argmin(axis=1)
     active = np.flatnonzero(D[np.arange(len(j)), j] < eps)

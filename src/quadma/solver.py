@@ -59,10 +59,12 @@ class NewtonConfig:
             raise ValueError("max_iterations must be nonnegative")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolveReport:
     """Outcome of one damped Newton run.
 
+    The fields are in the order of the ``report`` keys of ``quadma solve
+    --output``, which writes ``dataclasses.asdict(report)``.
     ``linear_solves`` names the path of each Newton linear solve
     (``"bicgstab"``, ``"lu"`` or ``"lu+shift"``, see ``_solve_linear``),
     ``linear_iterations`` counts its BiCGSTAB iterations (also when the step
@@ -73,11 +75,11 @@ class SolveReport:
     stalled, if any.
     """
 
-    final_residual: float
+    converged: bool = False
     iterations: int
+    final_residual: float
     alpha_history: list[float] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
-    converged: bool = False
     message: str = ""
     linear_solves: list[str] = field(default_factory=list)
     linear_iterations: list[int] = field(default_factory=list)
@@ -192,20 +194,17 @@ def _solve_linear(A: sp.csr_matrix, b: np.ndarray, rtol: float) -> tuple[np.ndar
         if info == 0 and np.all(np.isfinite(x)):
             return x, "bicgstab", iterations
 
-    try:
-        x = spla.splu(A.tocsc()).solve(b)
-        if np.all(np.isfinite(x)):
-            return x, "lu", iterations
-    except RuntimeError:
-        pass
-    shift = 1e-10 * spla.norm(A, np.inf)
-    try:
-        x = spla.splu((A + shift * sp.identity(A.shape[0], format="csr")).tocsc()).solve(b)
-    except RuntimeError as exc:
-        raise RuntimeError("Newton Jacobian is singular even after diagonal perturbation") from exc
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError("Newton Jacobian is singular even after diagonal perturbation")
-    return x, "lu+shift", iterations
+    for path in ("lu", "lu+shift"):
+        if path == "lu+shift":
+            A = A + 1e-10 * spla.norm(A, np.inf) * sp.identity(A.shape[0], format="csr")
+        cause = None
+        try:
+            x = spla.splu(A.tocsc()).solve(b)
+            if np.all(np.isfinite(x)):
+                return x, path, iterations
+        except RuntimeError as exc:
+            cause = exc
+    raise RuntimeError("Newton Jacobian is singular even after diagonal perturbation") from cause
 
 
 def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
@@ -376,24 +375,25 @@ def interpolate_to_grid(coarse_grid: Grid, coarse_values: np.ndarray, fine_grid:
     return np.concatenate([vals, _evaluate(g, fine_grid.points[ni:])])
 
 
-def coarse_to_fine(problem, fine_n: int, coarse_n: int | None, backend: str, *,
+def coarse_to_fine(problem, fine_grid: Grid, coarse_n: int | None = None, *,
                    K: int | None = None, epsilon: float | None = None,
-                   cfg: NewtonConfig = NewtonConfig(), fine_grid: Grid | None = None) -> np.ndarray:
-    """Fine-grid initial guess from a converged coarse solve.
+                   cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
+    """Initial guess on ``fine_grid`` from a converged coarse solve.
 
-    Solves the problem on a ``coarse_n`` grid (Poisson start + Newton) and
-    prolongs the solution onto the interior of the ``fine_n`` grid by the
-    coarse nodes' Taylor polynomials (``interpolate_to_grid``, which
-    reproduces quadratics); the fine boundary gets ``problem.g``.
-    ``coarse_n`` of None defaults to ``ceil(fine_n / 4)`` (at least the
-    backend minimum);
-    ``coarse_n == fine_n`` returns the coarse solution itself, which is
-    exactly the direct solve path.
+    Solves on a grid of size ``coarse_n`` with the fine grid's backend
+    (Poisson start + Newton) and prolongs the solution onto the fine
+    interior by Taylor polynomials (``interpolate_to_grid``); the fine
+    boundary gets ``problem.g``.  ``coarse_n`` of None defaults to
+    ``ceil(n / 4)``, at least 8 on hex grids and ``4 * (K or 2) + 4`` on
+    Cartesian ones, for the fine size ``n``.  A coarse size not below ``n``
+    is a ValueError; a coarse solve that fails, a RuntimeError.
     """
+    n, backend = fine_grid.params["n"], fine_grid.kind
     if coarse_n is None:
-        coarse_n = max(-(-fine_n // 4), 8 if backend != "cartesian" else 4 * (K or 2) + 4)
-    if coarse_n > fine_n:
-        raise ValueError("coarse grid must not be finer than the fine grid")
+        coarse_n = max(-(-n // 4), 8 if backend != "cartesian" else 4 * (K or 2) + 4)
+    if coarse_n >= n:
+        raise ValueError(f"a warm start's coarse grid size must be below n = {n}, "
+                         f"got {coarse_n}")
 
     coarse_grid = build_grid(problem.domain, backend, coarse_n, K)
     coarse_params = default_params(coarse_grid, epsilon)
@@ -401,8 +401,4 @@ def coarse_to_fine(problem, fine_n: int, coarse_n: int | None, backend: str, *,
     u_c, rep = damped_newton(coarse_grid, coarse_params, problem.f, problem.g, u0, cfg)
     if not rep.converged:
         raise RuntimeError(f"coarse solve at n={coarse_n} did not converge: {rep.message}")
-    if coarse_n == fine_n:
-        return u_c
-    if fine_grid is None:
-        fine_grid = build_grid(problem.domain, backend, fine_n, K)
     return interpolate_to_grid(coarse_grid, u_c, fine_grid, problem.g)

@@ -53,6 +53,31 @@ def test_newton_reaches_its_layers_through_the_solver_namespace(monkeypatch):
     assert calls["scheme_apply"] == 1 + trials
 
 
+def test_warm_start_reaches_its_layers_through_the_traced_namespaces(monkeypatch):
+    # The traced run times the warm start and its coarse solve by wrapping
+    # these names; each runs once in a warm solve.
+    from quadma import ex1, solve_problem
+
+    once = {("quadma.benchmarks", "coarse_to_fine"), ("quadma.solver", "build_grid"),
+            ("quadma.solver", "poisson_init"), ("quadma.solver", "damped_newton"),
+            ("quadma.solver", "interpolate_to_grid")}
+    wrapped = {(module, attribute) for module, attribute, _ in _targets()}
+    assert once <= wrapped
+    calls = dict.fromkeys(once, 0)
+    for key in once:
+        module = importlib.import_module(key[0])
+        original = getattr(module, key[1])
+
+        def counted(*args, _key=key, _original=original, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, key[1], counted)
+    _, _, report, _ = solve_problem(ex1(), "hex", 16, warm_start=True)
+    assert report.converged
+    assert calls == dict.fromkeys(once, 1)
+
+
 @pytest.mark.parametrize("backend", ["cartesian", "hex"])
 def test_builders_reach_augment_boundary_through_the_meshing_namespace(backend, monkeypatch):
     # The traced run times the boundary pass by wrapping this name in

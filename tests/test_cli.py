@@ -68,7 +68,9 @@ def test_solve_writes_solution_json(tmp_path):
     assert data["problem"] == "ex2"
     assert data["report"]["converged"] is True
     assert data["report"]["linear_solves"] == ["bicgstab"] * data["report"]["iterations"]
-    assert list(data["report"])[-3:] == ["linear_solves", "linear_iterations", "forcing"]
+    assert list(data["report"]) == [
+        "converged", "iterations", "final_residual", "alpha_history", "residual_history",
+        "message", "linear_solves", "linear_iterations", "forcing"]
     assert len(data["report"]["linear_iterations"]) == len(data["report"]["forcing"]) \
         == data["report"]["iterations"]
     assert len(data["values"]) == len(data["points"]) == len(data["interior"])
@@ -88,6 +90,31 @@ def test_solve_exit_code_on_failure(tmp_path):
     code = main(["solve", "--problem", "ex1", "--backend", "cartesian", "--n", "16",
                  "--max-iterations", "1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--warm-start", "--coarse-n", "24"],
+     "a warm start's coarse grid size must be below n = 24, got 24"),
+    (["--coarse-n", "8"], "coarse_n sets the coarse grid of a warm start; it needs warm_start"),
+])
+def test_solve_rejects_a_coarse_size_it_cannot_use(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "ex1", "--backend", "hex", "--n", "24", *argv])
+    assert exc.value.code == 2
+    assert f"quadma: config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["angles", "--K", "3"],
+    ["mesh-dump", "--backend", "hex", "--n", "12", "--output", "grid.json"],
+])
+def test_verbose_is_only_a_flag_of_the_solving_commands(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--verbose"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+    assert not (tmp_path / "grid.json").exists()
 
 
 def test_mesh_dump(tmp_path, capsys):

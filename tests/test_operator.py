@@ -92,6 +92,16 @@ def test_scheme_params_validation(cart_grid):
                      lambda p: np.zeros(len(p)), lambda p: np.zeros(len(p)))
 
 
+@pytest.mark.parametrize("backend", ["cartesian", "hex"])
+def test_jacobian_rejects_a_rule_for_another_angle_set(both_grids, backend):
+    # the residual's check, not numpy's shape error in the quadrature sum
+    grid = both_grids[backend]
+    other = hex_angles() if backend == "cartesian" else l1_angles(2)
+    mismatched = SchemeParams(1e-3, trapezoid_weights(other))
+    with pytest.raises(ValueError, match="quadrature rule does not match the grid's angle set"):
+        assemble_jacobian(grid, np.zeros(grid.n_points), mismatched)
+
+
 def test_default_epsilon(cart_grid, hex_grid):
     assert default_epsilon(cart_grid) == pytest.approx(cart_grid.r ** 2)
     assert default_epsilon(hex_grid) == pytest.approx(hex_grid.h ** 2)

@@ -171,7 +171,7 @@ def test_newton_keeps_boundary_exactly_g(backend, n, start):
     grid = build_grid(prob.domain, backend, n)
     params = default_params(grid)
     if start == "warm":
-        u0 = coarse_to_fine(prob, n, 12, backend, fine_grid=grid)
+        u0 = coarse_to_fine(prob, grid, 12)
     else:
         noise = 1e-3 * np.random.default_rng(31).standard_normal(grid.n_points)
         u0 = poisson_init(grid, prob.f, prob.g) + noise  # on every node, boundary included
@@ -235,11 +235,23 @@ def test_coarse_to_fine_warm_start_not_slower():
     assert rep_warm.iterations <= rep_cold.iterations + 1
 
 
-def test_coarse_equals_fine_is_direct_solve():
+# An explicit coarse size of n and of n + 4, and default sizes that reach n
+# (hex: 8; Cartesian: 12, the floor of K = 2) or pass it.
+@pytest.mark.parametrize("backend,n,coarse_n", [
+    ("hex", 16, 16), ("hex", 16, 20), ("cartesian", 16, 16), ("cartesian", 16, 20),
+    ("hex", 8, None), ("cartesian", 10, None), ("cartesian", 12, None)])
+def test_coarse_size_not_below_n_is_rejected(backend, n, coarse_n):
     prob = ex1()
-    grid, u_direct, _, params = solve_problem(prob, "cartesian", 17)
-    u_cf = coarse_to_fine(prob, 17, 17, "cartesian")
-    assert np.array_equal(u_direct, u_cf)
+    message = f"coarse grid size must be below n = {n}"
+    with pytest.raises(ValueError, match=message):
+        coarse_to_fine(prob, build_grid(prob.domain, backend, n), coarse_n)
+    with pytest.raises(ValueError, match=message):
+        solve_problem(prob, backend, n, warm_start=True, coarse_n=coarse_n)
+
+
+def test_coarse_size_without_warm_start_is_rejected():
+    with pytest.raises(ValueError, match="needs warm_start"):
+        solve_problem(ex1(), "hex", 16, coarse_n=8)
 
 
 def test_coarse_to_fine_constant_exact():
@@ -249,7 +261,7 @@ def test_coarse_to_fine_constant_exact():
                              lambda p: np.zeros(len(p)),
                              lambda p: np.full(len(p), 2.5))
     for backend in ("cartesian", "hex"):
-        u0 = coarse_to_fine(const, 24, 12, backend)
+        u0 = coarse_to_fine(const, build_grid(dom, backend, 24), 12)
         assert np.abs(u0 - 2.5).max() <= 1e-12
 
 
@@ -335,7 +347,7 @@ def test_interpolation_rejects_values_of_the_wrong_length(cart_grid, hex_grid, e
 
 def test_coarse_to_fine_rejects_finer_coarse():
     with pytest.raises(ValueError):
-        coarse_to_fine(ex1(), 16, 32, "hex")
+        coarse_to_fine(ex1(), build_grid(ex1().domain, "hex", 16), 32)
 
 
 def test_solve_on_disc_domain():
