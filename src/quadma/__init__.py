@@ -11,7 +11,7 @@ from .angles import AngularDiscretization, filter_angles, hex_angles, l1_angles,
 from .benchmarks import (BENCHMARKS, BenchmarkProblem, ConvergenceRow, StudyResult,
                          convergence_study, ex1, ex2, ex3, ex4, fit_order, max_error,
                          solve_problem)
-from .domains import ConvexDomain, boundary_intersection, disc, make_domain, rectangle, square
+from .domains import ConvexDomain, disc, make_domain, rectangle, square
 from .meshing import (Grid, build_grid, cartesian_mesh, default_stencil_depth,
                       grid_diagnostics, grid_to_jsonable, hexagonal_mesh)
 from .operator import (SchemeParams, assemble_jacobian, default_epsilon, default_params,
@@ -25,7 +25,7 @@ __all__ = [
     "AngularDiscretization", "uniform_angles", "hex_angles", "l1_angles",
     "filter_angles",
     "QuadratureRule", "trapezoid_weights", "simpson_weights", "integrate",
-    "ConvexDomain", "rectangle", "square", "disc", "make_domain", "boundary_intersection",
+    "ConvexDomain", "rectangle", "square", "disc", "make_domain",
     "Grid", "cartesian_mesh", "hexagonal_mesh", "build_grid", "default_stencil_depth",
     "grid_to_jsonable", "grid_diagnostics",
     "SchemeParams", "default_epsilon", "default_params", "sdd_matrix",

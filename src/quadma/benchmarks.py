@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .domains import ConvexDomain, rectangle
-from .meshing import Grid, build_grid
+from .meshing import Grid, build_grid, default_stencil_depth
 from .operator import SchemeParams, default_params
 from .solver import NewtonConfig, SolveReport, coarse_to_fine, damped_newton, poisson_init
 
@@ -214,20 +214,22 @@ def convergence_study(problem: BenchmarkProblem, backend: str, n_list, *,
 
     ``K`` fixes the Cartesian stencil depth for every row; by default the
     depth follows the ``round(n**(1/3))`` schedule (scaled by ``c_K`` if
-    given).  Solver failures (``RuntimeError``) are recorded per row (NaN
-    error) and do not abort the remaining rows; a ``ValueError``, a size or
-    depth the library rejects, propagates.
+    given).  A ``c_K`` beside ``K``, or on the hex backend, which has no
+    depth, is a ValueError.  Solver failures (``RuntimeError``) are recorded
+    per row (NaN error) and do not abort the remaining rows; a
+    ``ValueError``, a size or depth the library rejects, propagates.
     """
-    from .meshing import default_stencil_depth
-
     n_list = list(n_list)
     if sorted(n_list) != n_list:
         raise ValueError("n_list must be increasing")
+    if c_K is not None and K is not None:
+        raise ValueError(f"c_K scales the depth schedule that K={K} replaces; give one of them")
+    if c_K is not None and backend in ("hex", "hexagonal"):
+        raise ValueError("c_K scales the Cartesian stencil depth; the hex backend has none")
 
     rows = []
     for n in n_list:
-        depth = K if K is not None else (
-            default_stencil_depth(n, c_K) if c_K is not None else None)
+        depth = K if c_K is None else default_stencil_depth(n, c_K)
         start = time.perf_counter()
         try:
             grid, values, report, _ = solve_problem(

@@ -24,7 +24,6 @@ __all__ = [
     "square",
     "disc",
     "make_domain",
-    "boundary_intersection",
 ]
 
 
@@ -59,12 +58,6 @@ class ConvexDomain:
         """Signed distance from ``p`` (shape ``(..., 2)``) to the boundary."""
         p = np.asarray(p, dtype=float)
         return np.asarray(self.sdf(p), dtype=float)
-
-    @property
-    def diameter(self) -> float:
-        """Diagonal of the bounding box."""
-        xmin, xmax, ymin, ymax = self.bounding_box
-        return float(np.hypot(xmax - xmin, ymax - ymin))
 
 
 def rectangle(lower_left=(0.0, 0.0), size=1.0) -> ConvexDomain:
@@ -137,53 +130,27 @@ def make_domain(name: str, **params) -> ConvexDomain:
     return builder(**params)
 
 
-def boundary_intersection(domain: ConvexDomain, origin, direction) -> float:
-    """Distance along a ray from an interior point to the domain boundary.
-
-    Returns the smallest ``t > 0`` with ``signed_distance(origin + t*direction) = 0``.
-    Because the domain is convex and ``origin`` is interior, the ray crosses
-    the boundary exactly once; bisection on a sign-changing bracket is
-    therefore unconditionally safe.
-
-    Raises
-    ------
-    ValueError
-        If ``origin`` is not strictly interior or ``direction`` vanishes.
-    RuntimeError
-        If no crossing is found within twice the bounding-box diameter.
-    """
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    norm = float(np.hypot(direction[0], direction[1]))
-    if norm == 0.0:
-        raise ValueError("direction must be a nonzero vector")
-    direction = direction / norm
-
-    if not domain.signed_distance(origin) < 0.0:
-        raise ValueError("ray origin must lie strictly inside the domain")
-
-    hi = 2.0 * domain.diameter
-    if domain.signed_distance(origin + hi * direction) < 0.0:
-        raise RuntimeError("no boundary crossing within 2x the bounding-box diameter")
-    return float(_boundary_crossings(domain, origin[None], direction[None], [hi])[0])
+# Upper bound on the bisection passes of _boundary_crossings: 80 take any
+# bracket below double-precision resolution, while the mesh builders'
+# brackets reach the fixed point in 54 to 62 passes.
+BISECTION_PASSES = 80
 
 
-def _boundary_crossings(domain: ConvexDomain, origins, directions, brackets, iterations=80):
-    """Vectorized bisection for many rays at once.
+def _boundary_crossings(domain: ConvexDomain, origins, directions, brackets):
+    """Distance along each ray to the boundary, by vectorized bisection.
 
     ``origins`` and ``directions`` have shape ``(m, 2)``; ``brackets`` holds,
     per ray, an upper bound on the crossing distance at which the signed
-    distance is already nonnegative.  Used by :func:`boundary_intersection`
-    and by the mesh builders, where the bracket is the nominal stencil arm
-    length.  Halving stops at the fixed point, the first pass that changes
-    no ``lo`` and no ``hi`` (every later pass would repeat it, so the result
-    is the same bit for bit), and after ``iterations`` passes at most: 80
-    take any bracket below double-precision resolution, while the mesh
-    builders' brackets reach the fixed point in 54 to 62 passes.
+    distance is already nonnegative.  The domain is convex and the origins
+    interior, so each ray crosses the boundary once.  The mesh builders
+    bracket with the nominal stencil arm length.  Halving stops at the fixed
+    point, the first pass that changes no ``lo`` and no ``hi`` (every later
+    pass would repeat it, so the result is the same bit for bit), and after
+    ``BISECTION_PASSES`` passes at most.
     """
     lo = np.zeros(len(brackets))
     hi = np.asarray(brackets, dtype=float).copy()
-    for _ in range(iterations):
+    for _ in range(BISECTION_PASSES):
         mid = 0.5 * (lo + hi)
         inside = domain.signed_distance(origins + mid[:, None] * directions) < 0.0
         new_lo = np.where(inside, mid, lo)

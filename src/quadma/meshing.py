@@ -112,8 +112,9 @@ class Grid:
     ``points[:n_interior]`` are the interior nodes (in lexicographic
     ``(y, x)`` order), each deeper inside the domain than ``CLEARANCE*h``;
     the remaining rows are boundary points: boundary crossings of stencil
-    arms, and tiling nodes within the clearance, where ``u = g`` too.  Every
-    arm is longer than ``CLEARANCE*h``.  Stencil row
+    arms, and tiling nodes within the clearance, where ``u = g`` too.  The
+    mask ``interior`` is derived from ``n_interior``, the number of stencil
+    rows.  Every arm is longer than ``CLEARANCE*h``.  Stencil row
     ``i`` belongs to interior point ``i`` and lists, per angle ``j``, the
     indices of the aligned neighbors ``points[plus_index[i, j]] =
     x + h_plus[i, j] * (cos theta_j, sin theta_j)`` (same with a minus
@@ -127,7 +128,6 @@ class Grid:
 
     kind: MeshKind
     points: np.ndarray = field(repr=False)       # (N, 2)
-    interior: np.ndarray = field(repr=False)     # (N,) bool
     h: float                                     # characteristic spacing
     r: float                                     # stencil width (max arm length)
     angles: AngularDiscretization
@@ -151,6 +151,11 @@ class Grid:
     @property
     def n_interior(self) -> int:
         return self.plus_index.shape[0]
+
+    @property
+    def interior(self) -> np.ndarray:
+        """``(N,)`` bool mask of the interior points, the first ``n_interior``."""
+        return np.arange(self.n_points) < self.n_interior
 
     @cached_property
     def stencil_pattern(self) -> StencilPattern:
@@ -243,8 +248,9 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     every crossing, and one sort-and-sweep (``_merge_labels``) for the
     groups of end points.
 
-    Returns the full point array (interior first, boundary appended), the
-    interior mask, and the completed stencil arrays.
+    Returns the full point array (interior first, boundary appended) and
+    the completed stencil arrays: ``points, plus_index, minus_index,
+    h_plus, h_minus``.
     """
     interior_points = np.asarray(interior_points, dtype=float)
     n_int = len(interior_points)
@@ -276,9 +282,7 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     boundary_points = crossings[heads]
 
     points = np.vstack([interior_points, boundary_points])
-    interior = np.zeros(len(points), dtype=bool)
-    interior[:n_int] = True
-    return points, interior, plus_index, minus_index, h_plus, h_minus
+    return points, plus_index, minus_index, h_plus, h_minus
 
 
 def _tiling_grid(domain: ConvexDomain, kind: MeshKind, sites, spacing, sublattice,
@@ -323,9 +327,9 @@ def _tiling_grid(domain: ConvexDomain, kind: MeshKind, sites, spacing, sublattic
                 index[side, members, a] = idx_map[base + step]
     arm = lengths.transpose(1, 0, 2).take(label, axis=1)
 
-    points, interior, plus_index, minus_index, h_plus, h_minus = augment_boundary(
+    points, plus_index, minus_index, h_plus, h_minus = augment_boundary(
         domain, pts[inside], angles, index[0], index[1], arm[0], arm[1], dedup_tol=1e-9 * h)
-    return Grid(kind, points, interior, h, float(lengths.max()), angles,
+    return Grid(kind, points, h, float(lengths.max()), angles,
                 plus_index, minus_index, h_plus, h_minus, params=params)
 
 
@@ -404,10 +408,17 @@ def default_stencil_depth(n: int, c_K: float = 1.0) -> int:
 
 
 def build_grid(domain: ConvexDomain, backend: str, n: int, K: int | None = None) -> Grid:
-    """Build a grid for the named backend ("cartesian" or "hex"/"hexagonal")."""
+    """Build a grid for the named backend ("cartesian" or "hex"/"hexagonal").
+
+    ``K`` is the Cartesian stencil depth, by default
+    ``default_stencil_depth(n)``; the hex stencil has no depth, so a ``K``
+    with it is a ValueError.
+    """
     if backend == "cartesian":
         return cartesian_mesh(domain, n, default_stencil_depth(n) if K is None else K)
     if backend in ("hex", "hexagonal"):
+        if K is not None:
+            raise ValueError(f"the hex backend has no stencil depth K, got K={K}")
         return hexagonal_mesh(domain, n)
     raise ValueError(f"unknown backend {backend!r} (expected 'cartesian' or 'hex')")
 

@@ -101,9 +101,7 @@ def augment_boundary_reference(domain, interior_points, angles, plus_index, minu
         arm[rows[m], cols[m]] = ts[m]
 
     points = np.vstack([interior_points, np.array(inserted).reshape(-1, 2)])
-    interior = np.zeros(len(points), dtype=bool)
-    interior[:n_int] = True
-    return points, interior, plus_index, minus_index, h_plus, h_minus
+    return points, plus_index, minus_index, h_plus, h_minus
 
 
 def rectangle_reference(lower_left=(0.0, 0.0), size=1.0) -> ConvexDomain:

@@ -166,3 +166,15 @@ def test_study_records_failed_rows(monkeypatch):
 def test_study_requires_increasing_sizes():
     with pytest.raises(ValueError):
         convergence_study(ex1(), "hex", [32, 16])
+
+
+@pytest.mark.parametrize("backend,K", [("hex", None), ("hexagonal", None), ("cartesian", 2)])
+def test_study_rejects_a_c_K_it_would_ignore(monkeypatch, backend, K):
+    # c_K scales the Cartesian depth schedule: the hex backend has no depth,
+    # and a fixed K replaces the schedule
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite an ignored c_K")
+
+    monkeypatch.setattr(bm, "solve_problem", no_solve)
+    with pytest.raises(ValueError, match="c_K"):
+        convergence_study(ex1(), backend, [16, 24], K=K, c_K=3.0)

@@ -323,6 +323,11 @@ def test_config_field_reads_as_its_flag(tmp_path, command, field, value, flags, 
     ["solve", "--problem", "ex1", "--backend", "cartesian", "--n", "10", "--K", "5"],
     ["mesh-dump", "--backend", "cartesian", "--n", "9", "--K", "4", "--output", "grid.json"],
     ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "10,12", "--K", "5"],
+    ["solve", "--problem", "ex1", "--backend", "hex", "--n", "16", "--K", "7"],
+    ["mesh-dump", "--backend", "hex", "--n", "16", "--K", "7", "--output", "grid.json"],
+    ["study", "--problem", "ex1", "--backend", "hex", "--n", "16,24", "--c-K", "3"],
+    ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "16,24", "--K", "2",
+     "--c-K", "3"],
 ])
 def test_values_the_library_rejects_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

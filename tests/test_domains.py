@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import disc_reference, rectangle_reference
-from quadma import ConvexDomain, boundary_intersection, disc, make_domain, rectangle, square
+from quadma import disc, make_domain, rectangle, square
+from quadma.domains import _boundary_crossings
 
 
 def test_square_signed_distance_examples(unit_square):
@@ -37,7 +38,7 @@ def _probe_points(domain, rng):
                            np.column_stack([xs[:6], np.full(6, y0)]),
                            np.column_stack([xs[6:], np.full(6, y1)])])
     corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
-    span = domain.diameter
+    span = np.hypot(x1 - x0, y1 - y0)
     phi = rng.uniform(0.0, 2.0 * np.pi, 19)
     far = np.column_stack([cx + 1e3 * span * np.cos(phi), cy + 1e3 * span * np.sin(phi)])
     near = rng.uniform([x0 - span, y0 - span], [x1 + span, y1 + span], size=(48, 2))
@@ -95,41 +96,38 @@ def test_convexity_probe(domain):
     assert np.all(domain.signed_distance(mid) < 0)
 
 
+def _crossing_distances(domain, origins, directions):
+    """``_boundary_crossings`` of unit rays, bracketed by twice the
+    bounding-box diagonal."""
+    origins = np.atleast_2d(np.asarray(origins, dtype=float))
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    x0, x1, y0, y1 = domain.bounding_box
+    brackets = np.full(len(origins), 2.0 * np.hypot(x1 - x0, y1 - y0))
+    return _boundary_crossings(domain, origins, directions, brackets)
+
+
 def test_boundary_intersection_examples(unit_square):
-    t = boundary_intersection(unit_square, (0.5, 0.5), (1.0, 0.0))
+    t = _crossing_distances(unit_square, (0.5, 0.5), (1.0, 0.0))[0]
     assert t == pytest.approx(0.5, rel=1e-12)
-    t = boundary_intersection(unit_square, (0.5, 0.5), (np.cos(np.pi / 4), np.sin(np.pi / 4)))
+    t = _crossing_distances(unit_square, (0.5, 0.5), (np.cos(np.pi / 4), np.sin(np.pi / 4)))[0]
     assert t == pytest.approx(0.5 * np.sqrt(2.0), rel=1e-12)
-    d = disc((0, 0), 1.0)
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        theta = rng.uniform(0, 2 * np.pi)
-        t = boundary_intersection(d, (0.0, 0.0), (np.cos(theta), np.sin(theta)))
-        assert t == pytest.approx(1.0, rel=1e-12)
+    theta = np.random.default_rng(2).uniform(0, 2 * np.pi, 5)
+    ts = _crossing_distances(disc((0, 0), 1.0), np.zeros((5, 2)),
+                             np.column_stack([np.cos(theta), np.sin(theta)]))
+    assert ts == pytest.approx(np.ones(5), rel=1e-12)
 
 
 def test_boundary_intersection_point_on_boundary(unit_square):
     origin = np.array([0.3, 0.4])
     direction = np.array([0.6, 0.8])
-    t = boundary_intersection(unit_square, origin, direction)
+    t = _crossing_distances(unit_square, origin, direction)[0]
     assert abs(unit_square.signed_distance(origin + t * direction)) <= 1e-10
 
 
 def test_boundary_intersection_monotone_in_origin(unit_square):
-    direction = np.array([1.0, 0.0])
-    ts = [boundary_intersection(unit_square, (x, 0.5), direction)
-          for x in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    assert all(b < a for a, b in zip(ts, ts[1:]))
-
-
-def test_boundary_intersection_errors(unit_square):
-    with pytest.raises(ValueError):
-        boundary_intersection(unit_square, (2.0, 2.0), (1.0, 0.0))  # origin outside
-    with pytest.raises(ValueError):
-        boundary_intersection(unit_square, (0.5, 0.5), (0.0, 0.0))  # zero direction
-    unbounded = ConvexDomain(lambda p: np.full(p.shape[:-1], -1.0), (0, 1, 0, 1))
-    with pytest.raises(RuntimeError):
-        boundary_intersection(unbounded, (0.5, 0.5), (1.0, 0.0))
+    origins = np.column_stack([[0.1, 0.3, 0.5, 0.7, 0.9], np.full(5, 0.5)])
+    ts = _crossing_distances(unit_square, origins, np.tile([1.0, 0.0], (5, 1)))
+    assert np.all(np.diff(ts) < 0)
 
 
 def test_make_domain(unit_square):

@@ -114,6 +114,12 @@ def _assert_same_grid_as_reference(domain, backend, n, K=None):
     _assert_same_grids(grid, ref)
 
 
+def _usable_depth(backend, n, K):
+    """A drawn stencil depth as ``build_grid`` takes it: none on hex, which
+    has no depth, and at most ``(n - 3) // 2`` on Cartesian grids."""
+    return None if backend == "hex" or K is None else min(K, (n - 3) // 2)
+
+
 def _assert_same_grids(grid, ref):
     for name in ("points", "interior", "plus_index", "minus_index", "h_plus", "h_minus"):
         assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
@@ -135,9 +141,7 @@ _domains = st.one_of(
 def test_boundary_dedup_matches_reference(domain, backend, n, K):
     # the vectorized merge of arm end points builds the same grid, bit for
     # bit, as merging them one at a time
-    if K is not None:
-        K = min(K, (n - 3) // 2)   # a Cartesian grid needs n >= 2K + 3
-    _assert_same_grid_as_reference(domain, backend, n, K)
+    _assert_same_grid_as_reference(domain, backend, n, _usable_depth(backend, n, K))
 
 
 @pytest.mark.parametrize("domain,backend,n,K", [
@@ -203,8 +207,7 @@ def test_grid_matches_norm_reference_sdf(shape, backend, n, K):
     # the built-in signed distances build the same grids, bit for bit, as
     # the np.linalg.norm formulas wrapped in a ConvexDomain
     (build, build_reference), anchor, size = shape
-    if K is not None:
-        K = min(K, (n - 3) // 2)
+    K = _usable_depth(backend, n, K)
     _assert_same_grids(build_grid(build(anchor, size), backend, n, K),
                        build_grid(build_reference(anchor, size), backend, n, K))
 
@@ -259,13 +262,13 @@ def test_boundary_dedup_tolerance_and_chains():
                   full.copy(), h_plus.copy(), np.ones(full.shape), dedup_tol=tol)
 
     n = len(ends)
-    points, _, index, *_ = augment(meshing.augment_boundary)
+    points, index, *_ = augment(meshing.augment_boundary)
     # {0, 1, 2} is one chain, {3, 5} one pair; groups numbered by first end point
     assert np.array_equal(index[:, 0] - n, [0, 0, 0, 1, 2, 1])
     assert np.array_equal(points[n:], ends[[0, 3, 4]])
     # merging greedily, first come first served, splits the chain: point 2 is
     # more than tol from point 0, the one stored
-    _, _, greedy, *_ = augment(augment_boundary_reference)
+    _, greedy, *_ = augment(augment_boundary_reference)
     assert np.array_equal(greedy[:, 0] - n, [0, 0, 1, 2, 3, 2])
 
 
@@ -314,7 +317,7 @@ def test_boundary_crossings_match_plain_bisection(shape, lower_left, size, aspec
     # stopping at the fixed point gives the same crossings, bit for bit,
     # as all 80 halvings; rays start anywhere inside, or within
     # CLEARANCE*h of the boundary and head out, and brackets are arm
-    # lengths or twice the diameter, as boundary_intersection uses
+    # lengths or twice the bounding-box diagonal
     rng = np.random.default_rng(seed)
     if shape == "disc":
         center = np.array(lower_left)
@@ -342,7 +345,7 @@ def test_boundary_crossings_match_plain_bisection(shape, lower_left, size, aspec
     directions = np.vstack([out, np.column_stack([np.cos(phi), np.sin(phi)])])
     keep = domain.signed_distance(origins) < 0.0
     origins, directions = origins[keep], directions[keep]
-    brackets = np.full(len(origins), 2.0 * domain.diameter)
+    brackets = np.full(len(origins), 2.0 * np.hypot(x1 - x0, y1 - y0))
     arm = domain.signed_distance(origins + h * directions) >= 0.0
     brackets[arm] = h
     assert arm.any()
@@ -453,6 +456,13 @@ def test_size_preconditions(unit_square):
         hexagonal_mesh(unit_square, 6)
     with pytest.raises(ValueError):
         build_grid(unit_square, "triangular", 12)
+
+
+@pytest.mark.parametrize("backend", ["hex", "hexagonal"])
+def test_build_grid_rejects_a_depth_on_hex(unit_square, backend):
+    # the hex stencil has no depth: a K there would be dropped without a word
+    with pytest.raises(ValueError, match="no stencil depth K"):
+        build_grid(unit_square, backend, 16, 7)
 
 
 def test_default_stencil_depth_schedule():

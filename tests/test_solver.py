@@ -150,6 +150,17 @@ def test_solve_linear_zero_row_falls_back_to_shifted_lu():
     assert np.all(np.isfinite(y))
 
 
+def test_solve_linear_failed_krylov_falls_back_to_plain_lu(monkeypatch):
+    # a BiCGSTAB that stops short of rtol on a nonsingular Jacobian takes
+    # the unshifted LU, and the count keeps the iteration it spent
+    monkeypatch.setattr(solver, "BICGSTAB_MAXITER", 1)
+    A, b = _mid_newton_system("hex", 16)
+    y, path, iterations = _solve_linear(A, b, 1e-12)
+    assert path == "lu"
+    assert iterations == 1
+    assert np.array_equal(y, spla.splu(A.tocsc()).solve(b))
+
+
 @pytest.mark.parametrize("make, iterations, alphas, error", [
     (ex1, 6, [0.25, 0.25, 1.0, 1.0, 1.0, 1.0], 7.0336e-3),
     (ex4, 10, [1.0, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0], 6.8945e-3),
