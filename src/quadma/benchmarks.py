@@ -210,7 +210,7 @@ def convergence_study(problem: BenchmarkProblem, backend: str, n_list, *,
                       epsilon: float | None = None,
                       cfg: NewtonConfig = NewtonConfig(),
                       warm_start: bool = False) -> StudyResult:
-    """Solve a benchmark over increasing grid sizes and fit the order.
+    """Solve a benchmark over strictly increasing grid sizes and fit the order.
 
     ``K`` fixes the Cartesian stencil depth for every row; by default the
     depth follows the ``round(n**(1/3))`` schedule (scaled by ``c_K`` if
@@ -220,8 +220,8 @@ def convergence_study(problem: BenchmarkProblem, backend: str, n_list, *,
     ``ValueError``, a size or depth the library rejects, propagates.
     """
     n_list = list(n_list)
-    if sorted(n_list) != n_list:
-        raise ValueError("n_list must be increasing")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing")
     if c_K is not None and K is not None:
         raise ValueError(f"c_K scales the depth schedule that K={K} replaces; give one of them")
     if c_K is not None and backend in ("hex", "hexagonal"):

@@ -38,10 +38,10 @@ class ConvexDomain:
         shape ``(...,)``.  Must be negative strictly inside, zero on the
         boundary and positive outside, and 1-Lipschitz.  The mesh
         builders call it once on the tiling, then once per bisection
-        pass (56 to 61 on typical grids) on every stencil arm that exits
-        the domain, so its cost is grid build cost: write it on the
-        coordinate planes ``p[..., 0]`` and ``p[..., 1]``, as the
-        built-in shapes do, rather than with
+        pass (54 to 62 on the benchmark grids, see ``BISECTION_PASSES``)
+        on every stencil arm that exits the domain, so its cost is grid
+        build cost: write it on the coordinate planes ``p[..., 0]`` and
+        ``p[..., 1]``, as the built-in shapes do, rather than with
         ``np.linalg.norm(..., axis=-1)``, whose reduction over the
         length-2 axis costs several times the arithmetic.
     bounding_box : tuple of float

@@ -87,22 +87,19 @@ NEAR_NODE = -2
 
 
 class StencilPattern(NamedTuple):
-    """Sparsity of the stencil rows, split at the first boundary column.
+    """Sparsity of the interior block of the stencil rows, the columns below ``Ni``.
 
     An entry's value is gathered from the stencil data
     ``concat((G*cp).ravel(), (G*cm).ravel(), diagonal)``: plus arms, minus
-    arms, then the interior centers.  The interior block is CSR with the
-    columns sorted within each row (no two arms of a node end at the same
-    interior node).  The coupling to the boundary points, which a solve
-    needs once, is kept as triplets.
+    arms, then the interior centers.  The block is CSR with the columns
+    sorted within each row (no two arms of a node end at the same interior
+    node).  Arms that end at boundary points have no entry: a Newton step
+    keeps the boundary values fixed.
     """
 
-    indptr: np.ndarray            # (Ni + 1,) int32
-    indices: np.ndarray           # interior block columns, int32
-    gather: np.ndarray            # data slot of each interior block entry
-    boundary_rows: np.ndarray     # boundary coupling: row,
-    boundary_cols: np.ndarray     # column minus Ni,
-    boundary_gather: np.ndarray   # and data slot
+    indptr: np.ndarray    # (Ni + 1,) int32
+    indices: np.ndarray   # columns, int32
+    gather: np.ndarray    # data slot of each entry
 
 
 @dataclass
@@ -172,8 +169,7 @@ class Grid:
         pattern = StencilPattern(
             np.concatenate([[0], np.cumsum(interior.sum(axis=1))]).astype(np.int32),
             np.take_along_axis(cols, order, axis=1)[interior].astype(np.int32),
-            np.take_along_axis(slots, order, axis=1)[interior],
-            np.nonzero(boundary)[0], cols[boundary] - ni, slots[boundary])
+            np.take_along_axis(slots, order, axis=1)[interior])
         for array in pattern:
             array.flags.writeable = False
         return pattern

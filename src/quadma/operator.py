@@ -19,7 +19,9 @@ differentiates the branch active at the current iterate (ties resolved
 toward the constant ``eps`` branch), the standard semismooth convention.
 The Jacobian is assembled on the interior unknowns only, an M-matrix by
 monotonicity, on a sparsity pattern each grid computes once; every step
-refills only its values.
+refills only its values.  The discrete Laplacian of the Poisson start is
+the same weighted sum of second differences with fixed weights, assembled
+on the same pattern.
 """
 
 from __future__ import annotations
@@ -100,23 +102,45 @@ def _interior_block(grid: Grid, data: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data[pattern.gather], pattern.indices, pattern.indptr), shape=(ni, ni))
 
 
-def _stencil_matrix(grid: Grid, G: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Interior rows ``sum_j G[:, j] * D_j``, split into ``(A, B)``.
+def _laplacian_coefficients(grid: Grid) -> np.ndarray:
+    """Per-angle weights of the second differences that sum to the Laplacian.
 
-    ``A`` is the interior block and ``B`` the coupling to the boundary
-    points, so the rows applied to a grid function ``v`` are
-    ``A @ v[:ni] + B @ v[ni:]``.  ``G`` has one coefficient per interior
-    node and angle (or broadcasts to that shape).  With ``G <= 0`` the rows
-    have nonpositive off-diagonals and zero row sums; with ``G >= 0`` the
-    signs mirror.
+    On Cartesian grids the Laplacian is the sum of the second differences
+    along the axis angles (0 and pi/2).  On hexagonal grids it uses the
+    quadrature identity: the average of the second directional derivatives
+    over the half circle equals half the Laplacian, so twice the weighted
+    angle sum (trapezoid weights) reproduces it; both forms are exact on
+    quadratics.
+    """
+    if grid.kind == "cartesian":
+        lam = np.zeros(len(grid.angles))
+        lam[np.argmin(np.abs(grid.angles.angles))] = 1.0
+        lam[np.argmin(np.abs(grid.angles.angles - np.pi / 2))] = 1.0
+        return lam
+    return 2.0 * trapezoid_weights(grid.angles).weights / np.pi
+
+
+def _laplacian_system(grid: Grid) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """Discrete Laplacian at the interior nodes, split into ``(A, B)``.
+
+    The rows applied to a grid function ``v`` are ``A @ v[:ni] + B @ v[ni:]``.
+    ``A``, the interior block, is assembled as the Jacobian is and returned
+    as CSC without stored zeros, ready for a direct solve.  ``B`` couples
+    the interior rows to the boundary values; only the Poisson start reads
+    it, so it is built here from the arms that end at a boundary point.
     """
     ni = grid.n_interior
-    pattern = grid.stencil_pattern
-    data = _stencil_data(grid, G)
-    B = sp.csr_matrix((data[pattern.boundary_gather],
-                       (pattern.boundary_rows, pattern.boundary_cols)),
-                      shape=(ni, grid.n_points - ni))
-    return _interior_block(grid, data), B
+    lam = _laplacian_coefficients(grid)
+    # the unused Cartesian angles leave stored zeros, which slow the
+    # factorization down many times over; tocsc also copies the shared pattern
+    A = _interior_block(grid, _stencil_data(grid, lam)).tocsc()
+    A.eliminate_zeros()
+    triplets = []
+    for index, c in ((grid.plus_index, grid.cp), (grid.minus_index, grid.cm)):
+        r, j = np.nonzero(index >= ni)
+        triplets.append((lam[j] * c[r, j], r, index[r, j] - ni))
+    data, rows, cols = map(np.concatenate, zip(*triplets))
+    return A, sp.csr_matrix((data, (rows, cols)), shape=(ni, grid.n_points - ni))
 
 
 def _branches(grid: Grid, u: np.ndarray, params: SchemeParams):
@@ -174,8 +198,8 @@ def assemble_jacobian(grid: Grid, u: np.ndarray, params: SchemeParams) -> sp.csr
 
     Returns the interior block ``A``, ``ni x ni``: the boundary values are
     the Dirichlet data, so a Newton step leaves them fixed and their
-    coupling (``_stencil_matrix(grid, G)[1]``) is not built.  At interior
-    nodes the derivative follows the branches active at ``u`` (see
+    coupling to the interior rows is not built.  At interior nodes the
+    derivative follows the branches active at ``u`` (see
     ``_jacobian_coefficients``).  The index arrays are the grid's
     read-only ``stencil_pattern``: copy the matrix before changing its
     structure in place (``eliminate_zeros``, say).

@@ -31,9 +31,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .meshing import Grid, build_grid
-from .operator import SchemeParams, _evaluate, _stencil_matrix, assemble_jacobian, \
+from .operator import SchemeParams, _evaluate, _laplacian_system, assemble_jacobian, \
     default_params, scheme_apply, sdd_matrix
-from .quadrature import trapezoid_weights
 
 __all__ = ["NewtonConfig", "SolveReport", "poisson_init", "damped_newton", "coarse_to_fine"]
 
@@ -86,48 +85,27 @@ class SolveReport:
     forcing: list[float] = field(default_factory=list)
 
 
-def _laplacian_coefficients(grid: Grid) -> np.ndarray:
-    """Per-angle weights of the second differences that sum to the Laplacian.
-
-    On Cartesian grids the Laplacian is the sum of the second differences
-    along the axis angles (0 and pi/2).  On hexagonal grids it uses the
-    quadrature identity: the average of the second directional derivatives
-    over the half circle equals half the Laplacian, so twice the weighted
-    angle sum (trapezoid weights) reproduces it; both forms are exact on
-    quadratics.
-    """
-    if grid.kind == "cartesian":
-        lam = np.zeros(len(grid.angles))
-        lam[np.argmin(np.abs(grid.angles.angles))] = 1.0
-        lam[np.argmin(np.abs(grid.angles.angles - np.pi / 2))] = 1.0
-        return lam
-    return 2.0 * trapezoid_weights(grid.angles).weights / np.pi
-
-
-def _laplacian_system(grid: Grid) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-    """Discrete Laplacian ``(A, B)`` at the interior nodes, as ``_stencil_matrix``.
-
-    ``A``, the interior block, is CSC without stored zeros, ready for a
-    direct solve; ``B`` couples the interior rows to the boundary values.
-    """
-    A, B = _stencil_matrix(grid, _laplacian_coefficients(grid))
-    # the unused Cartesian angles leave stored zeros, which slow the
-    # factorization down many times over; tocsc also copies the shared pattern
-    A = A.tocsc()
-    A.eliminate_zeros()
-    return A, B
+def _field_values(grid: Grid, f, g) -> tuple[np.ndarray, np.ndarray]:
+    """``f`` at the interior points and ``g`` at the boundary points; a
+    non-finite value of either is a ValueError naming the field."""
+    ni = grid.n_interior
+    fv = _evaluate(f, grid.points[:ni])
+    gv = _evaluate(g, grid.points[ni:])
+    for name, values, where in (("f", fv, "interior"), ("g", gv, "boundary")):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite at the {where} points")
+    return fv, gv
 
 
 def poisson_init(grid: Grid, f, g) -> np.ndarray:
     """Initial guess from the linear problem ``Lap u = sqrt(2 f)``, ``u = g`` on the boundary.
 
-    Solves ``A x = sqrt(2 f) - B g`` on the interior block directly.
+    Solves ``A x = sqrt(2 f) - B g`` on the interior block directly.  A
+    non-finite or negative ``f``, or a non-finite ``g``, is a ValueError.
     """
-    ni = grid.n_interior
-    fv = _evaluate(f, grid.points[:ni])
+    fv, gv = _field_values(grid, f, g)
     if np.any(fv < -1e-13):
         raise ValueError("poisson_init requires f >= 0 on interior nodes")
-    gv = _evaluate(g, grid.points[ni:])
     A, B = _laplacian_system(grid)
     x = spla.spsolve(A, np.sqrt(2.0 * np.maximum(fv, 0.0)) - B @ gv)
     if not np.all(np.isfinite(x)):
@@ -219,15 +197,14 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
     ``report.converged`` is False when the iteration budget runs out or the
     line search stalls at ``ALPHA_MIN`` without decreasing the residual;
     the recorded residual history is strictly decreasing across accepted
-    steps by construction.
+    steps by construction.  A non-finite ``u0``, ``f`` or ``g`` is a ValueError.
     """
     u = np.array(u0, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("initial guess must be finite")
     ni = grid.n_interior
     # f and g are fixed on the grid: every residual reuses these values
-    fv = _evaluate(f, grid.points[:ni])
-    gv = _evaluate(g, grid.points[ni:])
+    fv, gv = _field_values(grid, f, g)
     u[ni:] = gv
     threshold = cfg.residual_threshold_factor * grid.h ** 2
 

@@ -32,7 +32,11 @@ def stencil_matrix_reference(grid, G) -> sp.coo_matrix:
     The triplets of every arm and center, in the order plus arms, minus
     arms, diagonal, with no pattern reused; ``tocsr()`` would sum the
     entries of two arms ending at one point.  Its interior rows, split at
-    column ``n_interior``, are what ``operator._stencil_matrix`` returns.
+    column ``n_interior``, are the interior block that ``assemble_jacobian``
+    builds from the Jacobian's ``G`` and the boundary coupling that the
+    tests apply beside it; with the Laplacian's weights, they are
+    ``operator._laplacian_system``'s ``A`` (as CSC, without stored zeros)
+    and ``B``.
     """
     ni = grid.n_interior
     n = grid.n_points

@@ -164,8 +164,9 @@ def test_study_records_failed_rows(monkeypatch):
 
 
 def test_study_requires_increasing_sizes():
-    with pytest.raises(ValueError):
-        convergence_study(ex1(), "hex", [32, 16])
+    for n_list in ([32, 16], [16, 16]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            convergence_study(ex1(), "hex", n_list)
 
 
 @pytest.mark.parametrize("backend,K", [("hex", None), ("hexagonal", None), ("cartesian", 2)])

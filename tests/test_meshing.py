@@ -232,7 +232,7 @@ def _counting(domain):
 def test_grid_build_sdf_calls(domain, backend, n, K):
     # one call on the whole tiling, then one per bisection pass on every
     # exiting arm at once: no per-angle or per-arm calls, and no more
-    # passes than the fixed point takes (57 to 62 on these grids)
+    # passes than the fixed point takes (56 to 61 on these grids)
     counted, shapes = _counting(domain)
     grid = build_grid(counted, backend, n, K)
     tiling, passes = shapes[0], shapes[1:]

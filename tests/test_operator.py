@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import regularized_det_reference
+from oracles import regularized_det_reference, stencil_matrix_reference
 from quadma import (SchemeParams, assemble_jacobian, default_epsilon, default_params,
                     hex_angles, l1_angles, scheme_apply, sdd_matrix, simpson_weights,
                     trapezoid_weights, uniform_angles)
-from quadma.operator import _jacobian_coefficients, _stencil_matrix
+from quadma.operator import _jacobian_coefficients
 
 
 def quadratic(points, m):
@@ -113,8 +113,9 @@ def test_jacobian_sparsity_within_stencil(cart_grid):
     u = quadratic(g.points, np.array([[1.5, 0.2], [0.2, 1.0]]))
     u += 0.001 * g.h ** 2 * rng.standard_normal(g.n_points)
     params = default_params(g)
-    J = sp.hstack([assemble_jacobian(g, u, params),
-                   _stencil_matrix(g, _jacobian_coefficients(g, u, params))[1]]).tocsr()
+    ni = g.n_interior
+    B = stencil_matrix_reference(g, _jacobian_coefficients(g, u, params)).tocsr()[:ni, ni:]
+    J = sp.hstack([assemble_jacobian(g, u, params), B]).tocsr()
     assert J.shape == (g.n_interior, g.n_points)
     for i in range(0, g.n_interior, 7):
         cols = set(J.getrow(i).indices)
@@ -150,7 +151,8 @@ def _fd_jacobian_check(grid, rng, trials=8):
         u += 0.005 * grid.h ** 2 * np.sin(3 * grid.points[:, 0]) * np.cos(2 * grid.points[:, 1])
         assert sdd_matrix(grid, u).min() > params.epsilon + 0.05  # away from kinks
         ni = grid.n_interior
-        B = _stencil_matrix(grid, _jacobian_coefficients(grid, u, params))[1]
+        G = _jacobian_coefficients(grid, u, params)
+        B = stencil_matrix_reference(grid, G).tocsr()[:ni, ni:]
         v = rng.uniform(-1.0, 1.0, grid.n_points)
         Jv = assemble_jacobian(grid, u, params) @ v[:ni] + B @ v[ni:]
         errs = []

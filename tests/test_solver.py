@@ -14,7 +14,8 @@ from quadma import (BenchmarkProblem, NewtonConfig, assemble_jacobian, build_gri
                     coarse_to_fine, damped_newton, default_params, disc, ex1, ex4, max_error,
                     poisson_init, rectangle, scheme_apply, solve_problem, square, solver)
 from quadma.meshing import CLEARANCE
-from quadma.solver import _laplacian_system, _nearest_node, _solve_linear, interpolate_to_grid
+from quadma.operator import _laplacian_system
+from quadma.solver import _nearest_node, _solve_linear, interpolate_to_grid
 
 
 def quad_data(p):
@@ -217,6 +218,25 @@ def test_newton_rejects_nonfinite_start(cart_grid, zeros):
     bad[0] = np.nan
     with pytest.raises(ValueError):
         damped_newton(cart_grid, params, zeros, zeros, bad)
+
+
+@pytest.mark.parametrize("field, value", [("f", np.nan), ("g", np.inf)])
+def test_non_finite_data_is_a_value_error(field, value):
+    # bad data is a ValueError, not a solver failure or a spent iteration budget
+    prob = ex1()
+    data = {"f": prob.f, "g": prob.g}
+    good = data[field]
+    data[field] = lambda p: np.where(p[:, 0] > 0.5, value, good(p))
+    bad = BenchmarkProblem("bad", prob.domain, prob.u_exact, **data)
+    grid = build_grid(prob.domain, "hex", 16)
+    match = f"{field} must be finite"
+    with pytest.raises(ValueError, match=match):
+        poisson_init(grid, bad.f, bad.g)
+    with pytest.raises(ValueError, match=match):
+        damped_newton(grid, default_params(grid), bad.f, bad.g,
+                      poisson_init(grid, prob.f, prob.g))
+    with pytest.raises(ValueError, match=match):
+        solve_problem(bad, "hex", 16)
 
 
 def test_solution_independent_of_start():

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from oracles import stencil_matrix_reference
 from quadma import assemble_jacobian, build_grid, default_params, disc, rectangle, square
-from quadma.operator import _jacobian_coefficients, _stencil_matrix
-from quadma.solver import _laplacian_coefficients, _laplacian_system, _solve_linear
+from quadma.operator import (_interior_block, _jacobian_coefficients, _laplacian_coefficients,
+                             _laplacian_system, _stencil_data)
+from quadma.solver import _solve_linear
 
 coords = st.floats(-1.0, 1.0)
 domains = st.one_of(
@@ -55,12 +56,13 @@ def _jacobian(grid, seed, scale):
     rng = np.random.default_rng(seed)
     u = 0.5 * (grid.points ** 2).sum(axis=1) + 10.0 ** scale * rng.standard_normal(grid.n_points)
     params = default_params(grid)
-    B = _stencil_matrix(grid, _jacobian_coefficients(grid, u, params))[1]
+    ni = grid.n_interior
+    B = stencil_matrix_reference(grid, _jacobian_coefficients(grid, u, params)).tocsr()[:ni, ni:]
     return assemble_jacobian(grid, u, params), B, rng
 
 
 def _same_csr(M, ref):
-    """Equal ``indptr``, ``indices`` and ``data``, the data bit for bit."""
+    """Equal ``indptr``, ``indices`` and ``data``, the data bit for bit (CSR or CSC)."""
     return (np.array_equal(M.indptr, ref.indptr) and np.array_equal(M.indices, ref.indices)
             and M.data.tobytes() == ref.data.tobytes())
 
@@ -76,14 +78,19 @@ def test_stencil_blocks_match_whole_grid_reference(grid, seed, zeros, laplacian)
         G = -rng.exponential(size=grid.cp.shape)
         G[rng.random(G.shape) < zeros] = 0.0
     assert "stencil_pattern" not in vars(grid)
-    A, B = _stencil_matrix(grid, G)
+    A = _interior_block(grid, _stencil_data(grid, G))
     ni = grid.n_interior
     ref = stencil_matrix_reference(grid, G).tocsr()
     ref.sum_duplicates()
     assert _same_csr(A, ref[:ni, :ni])
-    assert _same_csr(B, ref[:ni, ni:])
+    if laplacian:
+        lap_A, lap_B = _laplacian_system(grid)
+        ref_A = ref[:ni, :ni].tocsc()
+        ref_A.eliminate_zeros()
+        assert _same_csr(lap_A, ref_A)
+        assert _same_csr(lap_B, ref[:ni, ni:])
     # a second assembly refills the data of the same pattern
-    A2, _ = _stencil_matrix(grid, 2.0 * G)
+    A2 = _interior_block(grid, _stencil_data(grid, 2.0 * G))
     for name in ("indptr", "indices"):
         assert np.shares_memory(getattr(A, name), getattr(A2, name))
         assert not getattr(A, name).flags.writeable
