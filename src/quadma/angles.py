@@ -6,16 +6,13 @@ derivatives are invariant under that identification.  Gap arithmetic wraps
 around accordingly: the gap after the last angle runs to the first angle
 plus pi, so the gaps of any discretization sum to pi.
 
-Three constructions are provided:
+Two constructions are provided:
 
 * :func:`uniform_angles` / :func:`hex_angles` -- equally spaced angles, the
   natural choice on a hexagon-vertex mesh (six directions, pi/6 apart);
 * :func:`l1_angles` -- the directions of the lattice points on an L1 circle
   of integer radius K around a Cartesian grid node, a nearly uniform set
-  whose largest/smallest-gap ratio stays bounded as K grows;
-* :func:`filter_angles` -- prunes an arbitrary angle set until consecutive
-  gap ratios stay inside a prescribed window, the condition under which
-  the non-uniform Simpson weights remain positive.
+  whose largest/smallest-gap ratio stays bounded as K grows.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ __all__ = [
     "uniform_angles",
     "hex_angles",
     "l1_angles",
-    "l1_offsets",
-    "filter_angles",
 ]
 
 
@@ -114,63 +109,3 @@ def l1_angles(K: int) -> AngularDiscretization:
     offs = l1_offsets(K)
     return AngularDiscretization(np.arctan2(offs[:, 1], offs[:, 0]))
 
-
-def filter_angles(candidate_angles, ratio_low: float, ratio_high: float) -> AngularDiscretization:
-    """Select a subset of angles whose consecutive gap ratios stay in a window.
-
-    A greedy left-to-right sweep keeps an angle only while the gap it forms
-    stays within ``(ratio_low, ratio_high)`` of the previously kept gap: a
-    candidate forming too small a gap is skipped, while a candidate forming
-    too large a gap forces earlier kept angles to be dropped (merging their
-    gaps).  A repair pass then drops trailing angles while the wraparound
-    gap violates the window.  The postcondition is verified on the result,
-    so any input the sweep cannot fix raises instead of returning a
-    non-conforming set.
-
-    Raises
-    ------
-    ValueError
-        If fewer than 4 angles survive, if the surviving ratios still leave
-        the window, or if the surviving resolution exceeds 3x the input
-        resolution.
-    """
-    if not (0.0 < ratio_low < 1.0 < ratio_high):
-        raise ValueError("need 0 < ratio_low < 1 < ratio_high")
-    cand = AngularDiscretization(candidate_angles)  # validates ordering/range
-    ang = cand.angles
-    m = len(ang)
-
-    kept = [0]
-    gaps: list[float] = []
-    for idx in range(1, m):
-        gap = ang[idx] - ang[kept[-1]]
-        if gaps and gap / gaps[-1] <= ratio_low:
-            continue  # too close to the last kept angle: skip the candidate
-        while gaps and gap / gaps[-1] >= ratio_high and len(kept) >= 2:
-            # The last kept gap is too small to precede this one: drop the
-            # previous angle, merging its gap into the current one.
-            kept.pop()
-            gaps.pop()
-            gap = ang[idx] - ang[kept[-1]]
-        kept.append(idx)
-        gaps.append(gap)
-
-    # Wraparound repair: drop trailing angles while the seam gap is too
-    # small relative to its neighbors.  (A seam gap that is too large
-    # cannot be shrunk by pruning, so leave it to the final check.)
-    def _seam_bad(sel):
-        g = AngularDiscretization(ang[sel]).gaps
-        return (g[-1] / g[-2] <= ratio_low) or (g[0] / g[-1] >= ratio_high)
-
-    while len(kept) > 4 and _seam_bad(kept):
-        kept.pop()
-
-    if len(kept) < 4:
-        raise ValueError("fewer than 4 angles survive the gap-ratio filter")
-    out = AngularDiscretization(ang[kept])
-    ratios = out.gap_ratios()
-    if not np.all((ratios > ratio_low) & (ratios < ratio_high)):
-        raise ValueError("gap-ratio filter could not reach a conforming subset")
-    if out.resolution > 3.0 * cand.resolution:
-        raise ValueError("filtered subset coarsens the angular resolution by more than 3x")
-    return out

@@ -64,9 +64,6 @@ from .domains import ConvexDomain, _boundary_crossings
 
 __all__ = [
     "Grid",
-    "MeshKind",
-    "cartesian_mesh",
-    "hexagonal_mesh",
     "augment_boundary",
     "build_grid",
     "default_stencil_depth",
@@ -329,7 +326,7 @@ def _tiling_grid(domain: ConvexDomain, kind: MeshKind, sites, spacing, sublattic
                 plus_index, minus_index, h_plus, h_minus, params=params)
 
 
-def cartesian_mesh(domain: ConvexDomain, n: int, K: int) -> Grid:
+def _cartesian_mesh(domain: ConvexDomain, n: int, K: int) -> Grid:
     """Uniform Cartesian lattice with depth-K L1-circle stencils.
 
     ``n`` is the lattice point count along the longer bounding-box side;
@@ -369,7 +366,7 @@ _HEX_OFFSETS = np.stack([_HEX_A, -_HEX_A[::-1]])
 _HEX_LENGTHS = np.stack([_HEX_A_LENGTHS, _HEX_A_LENGTHS[::-1]])
 
 
-def hexagonal_mesh(domain: ConvexDomain, n: int) -> Grid:
+def _hexagonal_mesh(domain: ConvexDomain, n: int) -> Grid:
     """Hexagon-vertex tiling with the six-direction nearest-neighbor stencil.
 
     ``n`` sets the number of vertex rows across the bounding-box height
@@ -398,8 +395,11 @@ def default_stencil_depth(n: int, c_K: float = 1.0) -> int:
 
     With ``h ~ 1/n`` this realizes a stencil width ``r = K*h`` on the order
     of ``h**(2/3)``, the width that balances the angular and finite
-    difference components of the truncation error.
+    difference components of the truncation error.  ``c_K`` must be finite
+    and positive.
     """
+    if not 0.0 < c_K < math.inf:
+        raise ValueError(f"c_K must be finite and positive, got {c_K}")
     return max(2, int(round(c_K * n ** (1.0 / 3.0))))
 
 
@@ -411,11 +411,11 @@ def build_grid(domain: ConvexDomain, backend: str, n: int, K: int | None = None)
     with it is a ValueError.
     """
     if backend == "cartesian":
-        return cartesian_mesh(domain, n, default_stencil_depth(n) if K is None else K)
+        return _cartesian_mesh(domain, n, default_stencil_depth(n) if K is None else K)
     if backend in ("hex", "hexagonal"):
         if K is not None:
             raise ValueError(f"the hex backend has no stencil depth K, got K={K}")
-        return hexagonal_mesh(domain, n)
+        return _hexagonal_mesh(domain, n)
     raise ValueError(f"unknown backend {backend!r} (expected 'cartesian' or 'hex')")
 
 

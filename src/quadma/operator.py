@@ -36,7 +36,6 @@ from .quadrature import QuadratureRule, simpson_weights, trapezoid_weights
 
 __all__ = [
     "SchemeParams",
-    "default_epsilon",
     "default_params",
     "sdd_matrix",
     "scheme_apply",
@@ -52,23 +51,19 @@ class SchemeParams:
     quadrature: QuadratureRule
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-
-
-def default_epsilon(grid: Grid) -> float:
-    """Backend defaults: ``r**2`` on Cartesian grids, ``h**2`` on hexagonal."""
-    return grid.r ** 2 if grid.kind == "cartesian" else grid.h ** 2
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive")
 
 
 def default_params(grid: Grid, epsilon: float | None = None) -> SchemeParams:
     """Standard scheme parameters for a grid: Simpson weights on the L1
-    angle set for Cartesian grids, trapezoid weights on the uniform hex set."""
+    angle set and ``epsilon = r**2`` on Cartesian grids, trapezoid weights
+    on the uniform hex set and ``epsilon = h**2`` on hexagonal ones."""
     if grid.kind == "cartesian":
-        rule = simpson_weights(grid.angles)
+        rule, default = simpson_weights(grid.angles), grid.r ** 2
     else:
-        rule = trapezoid_weights(grid.angles)
-    return SchemeParams(default_epsilon(grid) if epsilon is None else epsilon, rule)
+        rule, default = trapezoid_weights(grid.angles), grid.h ** 2
+    return SchemeParams(default if epsilon is None else epsilon, rule)
 
 
 def _evaluate(func, pts: np.ndarray) -> np.ndarray:

@@ -52,8 +52,8 @@ class NewtonConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        if not self.residual_threshold_factor > 0.0:
-            raise ValueError("residual_threshold_factor must be positive")
+        if not 0.0 < self.residual_threshold_factor < np.inf:
+            raise ValueError("residual_threshold_factor must be finite and positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
 

@@ -8,7 +8,7 @@ src = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(src) not in sys.path:
     sys.path.insert(0, str(src))
 
-from quadma import build_grid, cartesian_mesh, default_params, square  # noqa: E402
+from quadma import build_grid, default_params, square  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +19,7 @@ def unit_square():
 @pytest.fixture(scope="session")
 def square9_k2(unit_square):
     """Small reference configuration: unit square, 9 points per side, K=2."""
-    return cartesian_mesh(unit_square, 9, 2)
+    return build_grid(unit_square, "cartesian", 9, 2)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadma import AngularDiscretization, filter_angles, hex_angles, l1_angles, uniform_angles
+from quadma import AngularDiscretization, hex_angles, l1_angles, uniform_angles
 
 
 def test_hex_angles():
@@ -78,46 +78,3 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         uniform_angles(0)
 
-
-def test_filter_keeps_conforming_sets():
-    uniform = np.arange(12) * np.pi / 12
-    out = filter_angles(uniform, 0.5, 2.0)
-    assert np.allclose(out.angles, uniform, atol=0)
-    l1 = l1_angles(8)
-    out = filter_angles(l1.angles, 0.5, 2.0)
-    assert np.array_equal(out.angles, l1.angles)
-
-
-def test_filter_pathological_input():
-    # Two tight pairs separated by huge gaps: either an error or a
-    # conforming pruned set is acceptable; here too few angles survive.
-    with pytest.raises(ValueError):
-        filter_angles([0.0, 0.01, np.pi / 2, np.pi / 2 + 0.01], 0.5, 2.0)
-
-
-def test_filter_postcondition_on_random_sets():
-    rng = np.random.default_rng(3)
-    produced = 0
-    for _ in range(50):
-        m = rng.integers(6, 40)
-        angles = np.sort(rng.uniform(0.0, np.pi, m))
-        angles = angles[np.concatenate([[True], np.diff(angles) > 1e-6])]
-        cand = AngularDiscretization(angles)
-        try:
-            out = filter_angles(angles, 0.5, 2.0)
-        except ValueError:
-            continue
-        produced += 1
-        ratios = out.gap_ratios()
-        assert np.all((ratios > 0.5) & (ratios < 2.0))
-        assert len(out) >= 4
-        assert out.resolution <= 3.0 * cand.resolution + 1e-12
-        assert set(out.angles).issubset(set(cand.angles))
-    assert produced > 0  # the filter succeeds on a decent fraction of inputs
-
-
-def test_filter_validates_ratio_window():
-    with pytest.raises(ValueError):
-        filter_angles([0.0, 1.0, 2.0, 3.0], 1.5, 2.0)
-    with pytest.raises(ValueError):
-        filter_angles([0.0, 1.0, 2.0, 3.0], 0.5, 0.9)

@@ -329,6 +329,13 @@ def test_config_field_reads_as_its_flag(tmp_path, command, field, value, flags, 
     ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "16,24", "--K", "2",
      "--c-K", "3"],
     ["study", "--problem", "ex1", "--backend", "hex", "--n", "16,16"],
+    ["solve", "--problem", "ex1", "--backend", "hex", "--n", "16", "--threshold-factor", "inf"],
+    ["study", "--problem", "ex1", "--backend", "hex", "--n", "16,24", "--threshold-factor",
+     "inf"],
+    ["solve", "--problem", "ex1", "--backend", "hex", "--n", "16", "--epsilon", "inf"],
+    ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "16,24", "--c-K", "inf"],
+    ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "16,24", "--c-K", "0"],
+    ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "16,24", "--c-K", "-5e-1"],
 ])
 def test_values_the_library_rejects_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

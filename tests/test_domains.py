@@ -106,7 +106,7 @@ def _crossing_distances(domain, origins, directions):
     return _boundary_crossings(domain, origins, directions, brackets)
 
 
-def test_boundary_intersection_examples(unit_square):
+def test_boundary_crossings_examples(unit_square):
     t = _crossing_distances(unit_square, (0.5, 0.5), (1.0, 0.0))[0]
     assert t == pytest.approx(0.5, rel=1e-12)
     t = _crossing_distances(unit_square, (0.5, 0.5), (np.cos(np.pi / 4), np.sin(np.pi / 4)))[0]
@@ -117,14 +117,14 @@ def test_boundary_intersection_examples(unit_square):
     assert ts == pytest.approx(np.ones(5), rel=1e-12)
 
 
-def test_boundary_intersection_point_on_boundary(unit_square):
+def test_boundary_crossings_point_on_boundary(unit_square):
     origin = np.array([0.3, 0.4])
     direction = np.array([0.6, 0.8])
     t = _crossing_distances(unit_square, origin, direction)[0]
     assert abs(unit_square.signed_distance(origin + t * direction)) <= 1e-10
 
 
-def test_boundary_intersection_monotone_in_origin(unit_square):
+def test_boundary_crossings_monotone_in_origin(unit_square):
     origins = np.column_stack([[0.1, 0.3, 0.5, 0.7, 0.9], np.full(5, 0.5)])
     ts = _crossing_distances(unit_square, origins, np.tile([1.0, 0.0], (5, 1)))
     assert np.all(np.diff(ts) < 0)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import (augment_boundary_reference, boundary_crossings_reference, disc_reference,
                      merge_labels_reference, rectangle_reference)
-from quadma import (ConvexDomain, build_grid, cartesian_mesh, default_stencil_depth,
-                    disc, grid_diagnostics, grid_to_jsonable, hex_angles, hexagonal_mesh,
-                    meshing, rectangle, square)
+from quadma import (ConvexDomain, build_grid, default_stencil_depth, disc, grid_diagnostics,
+                    grid_to_jsonable, hex_angles, meshing, rectangle, square)
 from quadma.domains import _boundary_crossings
 from quadma.meshing import CLEARANCE, _merge_labels
 
@@ -74,7 +73,7 @@ def test_boundary_points_on_zero_level_set(square9_k2, hex_grid, unit_square):
 
 def test_boundary_points_on_disc():
     d = disc((0.0, 0.0), 1.0)
-    for g in (cartesian_mesh(d, 17, 2), hexagonal_mesh(d, 16)):
+    for g in (build_grid(d, "cartesian", 17, 2), build_grid(d, "hex", 16)):
         bdry = g.points[~g.interior]
         assert np.abs(d.signed_distance(bdry)).max() <= 1e-8
 
@@ -390,7 +389,7 @@ def test_far_nodes_reference_only_interior(square9_k2, hex_grid, unit_square):
 def test_cartesian_mesh_on_non_square_box():
     from quadma import rectangle
     dom = rectangle((0.0, 0.0), (2.0, 1.0))
-    g = cartesian_mesh(dom, 17, 2)
+    g = build_grid(dom, "cartesian", 17, 2)
     assert g.h == pytest.approx(2.0 / 16)   # spacing set by the longer side
     assert _alignment_error(g) <= 1e-9 * g.h
     assert np.abs(dom.signed_distance(g.points[~g.interior])).max() <= 1e-8
@@ -412,13 +411,13 @@ def test_boundary_point_deduplication(square9_k2):
 
 
 def test_determinism(unit_square):
-    a = cartesian_mesh(unit_square, 13, 2)
-    b = cartesian_mesh(unit_square, 13, 2)
+    a = build_grid(unit_square, "cartesian", 13, 2)
+    b = build_grid(unit_square, "cartesian", 13, 2)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.plus_index, b.plus_index)
     assert np.array_equal(a.h_minus, b.h_minus)
-    ha = hexagonal_mesh(unit_square, 10)
-    hb = hexagonal_mesh(unit_square, 10)
+    ha = build_grid(unit_square, "hex", 10)
+    hb = build_grid(unit_square, "hex", 10)
     assert np.array_equal(ha.points, hb.points)
     assert np.array_equal(ha.minus_index, hb.minus_index)
 
@@ -430,7 +429,7 @@ def test_interior_ordering_lexicographic(square9_k2):
 
 
 def test_spatial_resolution_bound(unit_square):
-    g = cartesian_mesh(unit_square, 17, 2)
+    g = build_grid(unit_square, "cartesian", 17, 2)
     rng = np.random.default_rng(5)
     samples = rng.uniform(0.0, 1.0, size=(4000, 2))
     from scipy.spatial import cKDTree
@@ -442,18 +441,18 @@ def test_spatial_resolution_bound(unit_square):
 def test_empty_interior_rejected():
     empty = ConvexDomain(lambda p: np.ones(p.shape[:-1]), (0.0, 1.0, 0.0, 1.0))
     with pytest.raises(ValueError, match="interior"):
-        cartesian_mesh(empty, 12, 2)
+        build_grid(empty, "cartesian", 12, 2)
     with pytest.raises(ValueError, match="interior"):
-        hexagonal_mesh(empty, 12)
+        build_grid(empty, "hex", 12)
 
 
 def test_size_preconditions(unit_square):
     with pytest.raises(ValueError):
-        cartesian_mesh(unit_square, 6, 2)   # below 2K + 3
+        build_grid(unit_square, "cartesian", 6, 2)   # below 2K + 3
     with pytest.raises(ValueError):
-        cartesian_mesh(unit_square, 12, 0)
+        build_grid(unit_square, "cartesian", 12, 0)
     with pytest.raises(ValueError):
-        hexagonal_mesh(unit_square, 6)
+        build_grid(unit_square, "hex", 6)
     with pytest.raises(ValueError):
         build_grid(unit_square, "triangular", 12)
 
@@ -472,6 +471,9 @@ def test_default_stencil_depth_schedule():
     assert default_stencil_depth(128) == 5
     assert default_stencil_depth(8) == 2   # the floor
     assert default_stencil_depth(64, c_K=1.5) == 6
+    for c_K in (0.0, -0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="c_K"):
+            default_stencil_depth(64, c_K=c_K)
 
 
 def test_grid_json_roundtrip(square9_k2):

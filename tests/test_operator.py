@@ -3,9 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import regularized_det_reference, stencil_matrix_reference
-from quadma import (SchemeParams, assemble_jacobian, default_epsilon, default_params,
-                    hex_angles, l1_angles, scheme_apply, sdd_matrix, simpson_weights,
-                    trapezoid_weights, uniform_angles)
+from quadma import (SchemeParams, assemble_jacobian, default_params, hex_angles, l1_angles,
+                    scheme_apply, sdd_matrix, simpson_weights, trapezoid_weights, uniform_angles)
 from quadma.operator import _jacobian_coefficients
 
 
@@ -86,6 +85,9 @@ def test_regularized_det_degenerate_vanishes_with_eps():
 def test_scheme_params_validation(cart_grid):
     with pytest.raises(ValueError):
         SchemeParams(0.0, simpson_weights(l1_angles(2)))
+    for eps in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SchemeParams(eps, simpson_weights(l1_angles(2)))
     mismatched = SchemeParams(1e-3, trapezoid_weights(hex_angles()))
     with pytest.raises(ValueError):
         scheme_apply(cart_grid, np.zeros(cart_grid.n_points), mismatched,
@@ -103,8 +105,8 @@ def test_jacobian_rejects_a_rule_for_another_angle_set(both_grids, backend):
 
 
 def test_default_epsilon(cart_grid, hex_grid):
-    assert default_epsilon(cart_grid) == pytest.approx(cart_grid.r ** 2)
-    assert default_epsilon(hex_grid) == pytest.approx(hex_grid.h ** 2)
+    assert default_params(cart_grid).epsilon == pytest.approx(cart_grid.r ** 2)
+    assert default_params(hex_grid).epsilon == pytest.approx(hex_grid.h ** 2)
 
 
 def test_jacobian_sparsity_within_stencil(cart_grid):

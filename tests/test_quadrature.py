@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadma import (AngularDiscretization, QuadratureRule, SchemeParams, cartesian_mesh,
+from quadma import (AngularDiscretization, QuadratureRule, SchemeParams, build_grid,
                     damped_newton, hex_angles, integrate, l1_angles, poisson_init,
                     simpson_weights, square, trapezoid_weights, uniform_angles)
 
@@ -152,7 +152,7 @@ def test_simpson_beats_trapezoid_in_a_solve_on_an_anisotropic_quadratic():
 
     errors = {}
     for K in (4, 5, 6, 8):
-        grid = cartesian_mesh(square((-1.0, -1.0), 2.0), 64, K)
+        grid = build_grid(square((-1.0, -1.0), 2.0), "cartesian", 64, K)
         for rule in (trapezoid_weights, simpson_weights):
             params = SchemeParams(1e-12, rule(grid.angles))
             values, report = damped_newton(grid, params, f, u, poisson_init(grid, f, u))

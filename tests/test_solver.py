@@ -56,6 +56,9 @@ def test_poisson_rejects_negative_f(cart_grid, zeros):
 def test_newton_config_validation():
     with pytest.raises(ValueError):
         NewtonConfig(residual_threshold_factor=0.0)
+    for factor in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            NewtonConfig(residual_threshold_factor=factor)
     with pytest.raises(ValueError):
         NewtonConfig(max_iterations=-3)
     assert NewtonConfig(max_iterations=0).max_iterations == 0
