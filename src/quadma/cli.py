@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import re
 import sys
@@ -32,16 +33,19 @@ CSV_HEADER = "n,h,max_error,runtime_seconds,newton_iters"
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".quadma-")
+    """Write via a temp file in the same directory, then rename; a path
+    that cannot be written is a config error."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".quadma-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            _fail_config(f"cannot write {path}: {exc.strerror or exc}")
         raise
 
 
@@ -122,7 +126,7 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
 
 def _newton_config(args) -> NewtonConfig:
     return NewtonConfig(residual_threshold_factor=args.threshold_factor,
-                        max_iterations=args.max_iterations, verbose=args.verbose)
+                        max_iterations=args.max_iterations)
 
 
 def _cmd_solve(args) -> int:
@@ -315,6 +319,11 @@ def _parse_args(argv) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    logger = logging.getLogger("quadma")
+    handler, level = logging.StreamHandler(), logger.level
+    if getattr(args, "verbose", False):  # a flag of solve and study only
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -322,6 +331,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"quadma: solver error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -45,7 +45,9 @@ class ConvexDomain:
         ``np.linalg.norm(..., axis=-1)``, whose reduction over the
         length-2 axis costs several times the arithmetic.
     bounding_box : tuple of float
-        ``(xmin, xmax, ymin, ymax)`` containing the closure of the domain.
+        ``(xmin, xmax, ymin, ymax)`` containing the closure of the domain:
+        four finite numbers with ``xmin < xmax`` and ``ymin < ymax``, else
+        ValueError.
     name : str
         Short label used in reports and dumped files.
     """
@@ -53,6 +55,12 @@ class ConvexDomain:
     sdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     bounding_box: tuple[float, float, float, float]
     name: str = "custom"
+
+    def __post_init__(self):
+        box = tuple(self.bounding_box)
+        if not (len(box) == 4 and all(np.isfinite(box)) and box[0] < box[1] and box[2] < box[3]):
+            raise ValueError("bounding box must be four finite numbers (xmin, xmax, ymin, ymax) "
+                             f"with xmin < xmax and ymin < ymax, got {box}")
 
     def signed_distance(self, p) -> np.ndarray:
         """Signed distance from ``p`` (shape ``(..., 2)``) to the boundary."""
@@ -75,8 +83,8 @@ def rectangle(lower_left=(0.0, 0.0), size=1.0) -> ConvexDomain:
         w = h = float(size)
     else:
         w, h = float(size[0]), float(size[1])
-    if w <= 0 or h <= 0:
-        raise ValueError("rectangle size must be positive")
+    if not (0 < w < np.inf and 0 < h < np.inf):
+        raise ValueError(f"rectangle size must be finite and positive, got {size}")
     cx, cy = x0 + w / 2.0, y0 + h / 2.0
     hx, hy = w / 2.0, h / 2.0
 
@@ -98,8 +106,8 @@ def square(lower_left=(0.0, 0.0), side=1.0) -> ConvexDomain:
 
 def disc(center=(0.0, 0.0), radius=1.0) -> ConvexDomain:
     """Open disc of the given center and radius."""
-    if radius <= 0:
-        raise ValueError("disc radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"disc radius must be finite and positive, got {radius}")
     cx, cy = float(center[0]), float(center[1])
     r = float(radius)
 

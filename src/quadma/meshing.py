@@ -53,6 +53,7 @@ alignment never relies on floating-point matching.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal, NamedTuple
@@ -403,13 +404,23 @@ def default_stencil_depth(n: int, c_K: float = 1.0) -> int:
     return max(2, int(round(c_K * n ** (1.0 / 3.0))))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def build_grid(domain: ConvexDomain, backend: str, n: int, K: int | None = None) -> Grid:
     """Build a grid for the named backend ("cartesian" or "hex"/"hexagonal").
 
     ``K`` is the Cartesian stencil depth, by default
     ``default_stencil_depth(n)``; the hex stencil has no depth, so a ``K``
-    with it is a ValueError.
+    with it is a ValueError.  An ``n`` or ``K`` that is not an integer (a
+    bool is not) is a ValueError.
     """
+    if not _is_integer(n):
+        raise ValueError(f"grid size n must be an integer, got {n}")
+    if K is not None and not _is_integer(K):
+        raise ValueError(f"stencil depth K must be an integer, got {K}")
     if backend == "cartesian":
         return _cartesian_mesh(domain, n, default_stencil_depth(n) if K is None else K)
     if backend in ("hex", "hexagonal"):

@@ -23,18 +23,20 @@ reproduces quadratics and keeps the curvature the scheme acts on.
 
 from __future__ import annotations
 
-import sys
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshing import Grid, build_grid
+from .meshing import Grid, _is_integer, build_grid
 from .operator import SchemeParams, _evaluate, _laplacian_system, assemble_jacobian, \
     default_params, scheme_apply, sdd_matrix
 
 __all__ = ["NewtonConfig", "SolveReport", "poisson_init", "damped_newton", "coarse_to_fine"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -42,20 +44,21 @@ class NewtonConfig:
     """Stopping and damping policy for the Newton iteration.
 
     ``residual_threshold_factor`` multiplies ``h**2`` to give the stopping
-    threshold on the max-norm residual.  Backtracking multiplies the step
+    threshold on the max-norm residual, and ``max_iterations``, a
+    nonnegative integer, caps the Newton steps.  Backtracking multiplies the step
     length by ``DAMPING_BETA`` until the residual decreases, failing once
     the step drops below ``ALPHA_MIN``.
     """
 
     residual_threshold_factor: float = 1.0
     max_iterations: int = 50
-    verbose: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.residual_threshold_factor < np.inf:
             raise ValueError("residual_threshold_factor must be finite and positive")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
+        if not (_is_integer(self.max_iterations) and self.max_iterations >= 0):
+            raise ValueError("max_iterations must be a nonnegative integer, "
+                             f"got {self.max_iterations}")
 
 
 @dataclass(kw_only=True)
@@ -197,7 +200,8 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
     ``report.converged`` is False when the iteration budget runs out or the
     line search stalls at ``ALPHA_MIN`` without decreasing the residual;
     the recorded residual history is strictly decreasing across accepted
-    steps by construction.  A non-finite ``u0``, ``f`` or ``g`` is a ValueError.
+    steps by construction.  Each accepted step logs one DEBUG record on the
+    ``quadma.solver`` logger.  A non-finite ``u0``, ``f`` or ``g`` is a ValueError.
     """
     u = np.array(u0, dtype=float)
     if not np.all(np.isfinite(u)):
@@ -221,7 +225,7 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
         report.forcing.append(eta)
 
         alpha = 1.0
-        while True:
+        while alpha >= ALPHA_MIN:
             trial = u.copy()
             trial[:ni] += alpha * step
             res_trial = scheme_apply(grid, trial, params, fv, gv)
@@ -229,20 +233,17 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
             if rnorm_trial < rnorm:
                 break
             alpha *= DAMPING_BETA
-            if alpha < ALPHA_MIN:
-                report.message = ("line search stalled: residual not decreasing "
-                                  f"at alpha_min = {ALPHA_MIN:.2e}")
-                report.final_residual = rnorm
-                return u, report
+        else:
+            report.message = ("line search stalled: residual not decreasing "
+                              f"at alpha_min = {ALPHA_MIN:.2e}")
+            break
 
         u, res, rnorm = trial, res_trial, rnorm_trial
         report.iterations += 1
         report.alpha_history.append(alpha)
         report.residual_history.append(rnorm)
-        if cfg.verbose:
-            print(f"iter {report.iterations}: residual={rnorm:.6e}, alpha={alpha:.6e}, "
-                  f"linear_solve={path}, krylov_its={krylov_its}, eta={eta:.3e}",
-                  file=sys.stderr)
+        log.debug("iter %d: residual=%.6e, alpha=%.6e, linear_solve=%s, krylov_its=%d, eta=%.3e",
+                  report.iterations, rnorm, alpha, path, krylov_its, eta)
 
     report.final_residual = rnorm
     report.converged = rnorm < threshold

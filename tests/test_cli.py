@@ -315,7 +315,7 @@ def test_config_field_reads_as_its_flag(tmp_path, command, field, value, flags, 
         assert parsed("--config", str(cfg), *override) == parsed(*override) != from_file
 
 
-@pytest.mark.parametrize("argv", [
+LIBRARY_REJECTS = [
     ["solve", "--problem", "ex1", "--backend", "cartesian", "--n", "16", "--K", "0"],
     ["solve", "--problem", "ex1", "--backend", "hex", "--n", "16", "--epsilon", "-1"],
     ["solve", "--problem", "ex1", "--backend", "hex", "--n", "16", "--threshold-factor", "0"],
@@ -336,11 +336,54 @@ def test_config_field_reads_as_its_flag(tmp_path, command, field, value, flags, 
     ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "16,24", "--c-K", "inf"],
     ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "16,24", "--c-K", "0"],
     ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "16,24", "--c-K", "-5e-1"],
-])
-def test_values_the_library_rejects_exit_2(tmp_path, monkeypatch, capsys, argv):
+]
+# non-finite domain values, each with the value its message must name
+DOMAIN_REJECTS = [
+    (["--domain", "disc", "--radius", "nan"], "nan"),
+    (["--domain", "disc", "--radius", "inf"], "inf"),
+    (["--domain", "disc", "--center", "nan", "0"], "nan"),
+    (["--domain", "square", "--side", "inf"], "inf"),
+    (["--domain", "square", "--lower-left", "inf", "0"], "inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(argv, None) for argv in LIBRARY_REJECTS]
+    + [(["mesh-dump", "--backend", "hex", "--n", "16", *flags, "--output", "grid.json"], named)
+       for flags, named in DOMAIN_REJECTS],
+    ids=[f"argv{i}" for i in range(len(LIBRARY_REJECTS) + len(DOMAIN_REJECTS))])
+def test_values_the_library_rejects_exit_2(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "quadma: config error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "quadma: config error: " in err
+    if named is not None:
+        assert named in err and "cannot convert" not in err
     assert not (tmp_path / "grid.json").exists()
+
+
+UNWRITABLE_OUTPUTS = {
+    "solve": ["solve", "--problem", "ex1", "--backend", "hex", "--n", "12", "--output"],
+    "study": ["study", "--problem", "ex1", "--backend", "hex", "--n", "12", "--output-csv"],
+    "angles": ["angles", "--K", "3", "--output"],
+    "mesh-dump": ["mesh-dump", "--backend", "hex", "--n", "12", "--output"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command, where):
+    # a config error after the work is done, with no temp file left behind
+    path = tmp_path / "out.json"
+    if where == "missing-directory":
+        path = tmp_path / "missing" / "out.json"
+    else:
+        path.mkdir()   # the temp file goes beside it, in tmp_path
+    with pytest.raises(SystemExit) as exc:
+        main([*UNWRITABLE_OUTPUTS[command], str(path)])
+    assert exc.value.code == 2
+    assert f"quadma: config error: cannot write {path}: " in capsys.readouterr().err
+    assert not list(tmp_path.rglob(".quadma-*"))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import disc_reference, rectangle_reference
-from quadma import disc, make_domain, rectangle, square
+from quadma import ConvexDomain, disc, make_domain, rectangle, square
 from quadma.domains import _boundary_crossings
 
 
@@ -141,3 +141,34 @@ def test_make_domain(unit_square):
         make_domain("rectangle", side=2.0)
     with pytest.raises(ValueError):
         rectangle((0, 0), -1.0)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: disc((0.0, 0.0), np.nan), "nan"),
+    (lambda: disc((0.0, 0.0), np.inf), "inf"),
+    (lambda: disc((0.0, 0.0), 0.0), "0.0"),
+    (lambda: disc((np.nan, 0.0), 1.0), "nan"),
+    (lambda: disc((0.0, np.inf), 1.0), "inf"),
+    (lambda: square((np.inf, 0.0), 1.0), "inf"),
+    (lambda: square((0.0, np.nan), 1.0), "nan"),
+    (lambda: square((0.0, 0.0), np.inf), "inf"),
+    (lambda: rectangle((0.0, 0.0), (1.0, np.nan)), "nan"),
+    (lambda: square((1e308, 0.0), 1e308), "inf"),    # the far corner overflows
+])
+def test_non_finite_domain_values_are_rejected(build, named):
+    # rejected where they are given, not later by the mesh builders
+    with pytest.raises(ValueError, match=named):
+        build()
+
+
+@pytest.mark.parametrize("box", [
+    (0.0, 1.0, 0.0, np.inf),
+    (np.nan, 1.0, 0.0, 1.0),
+    (0.0, 0.0, 0.0, 1.0),       # empty in x
+    (0.0, 1.0, 1.0, 0.0),       # upside down in y
+    (0.0, 1.0, 0.0),
+])
+def test_convex_domain_rejects_a_bad_bounding_box(box):
+    sdf = lambda p: np.zeros(p.shape[:-1])
+    with pytest.raises(ValueError, match="bounding box"):
+        ConvexDomain(sdf, box)

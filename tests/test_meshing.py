@@ -457,6 +457,28 @@ def test_size_preconditions(unit_square):
         build_grid(unit_square, "triangular", 12)
 
 
+@pytest.mark.parametrize("backend, n, K, named", [
+    ("cartesian", 12.5, None, "n must be an integer, got 12.5"),
+    ("hex", 16.0, None, "n must be an integer, got 16.0"),
+    ("hex", True, None, "n must be an integer, got True"),
+    ("cartesian", 12, 2.5, "K must be an integer, got 2.5"),
+    ("cartesian", 12, True, "K must be an integer, got True"),
+    ("cartesian", np.float64(12), None, "n must be an integer"),
+])
+def test_build_grid_requires_integer_sizes(unit_square, backend, n, K, named):
+    # a float size used to build a grid with params["n"] == 12.5, a bool K a K=1 grid
+    with pytest.raises(ValueError, match=named):
+        build_grid(unit_square, backend, n, K)
+
+
+def test_build_grid_takes_numpy_integers(unit_square):
+    grid = build_grid(unit_square, "cartesian", np.int64(12), np.int32(2))
+    reference = build_grid(unit_square, "cartesian", 12, 2)
+    assert np.array_equal(grid.points, reference.points)
+    assert np.array_equal(build_grid(unit_square, "hex", np.int64(12)).points,
+                          build_grid(unit_square, "hex", 12).points)
+
+
 @pytest.mark.parametrize("backend", ["hex", "hexagonal"])
 def test_build_grid_rejects_a_depth_on_hex(unit_square, backend):
     # the hex stencil has no depth: a K there would be dropped without a word

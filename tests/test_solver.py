@@ -1,4 +1,5 @@
 import importlib.util
+import logging
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from quadma import (BenchmarkProblem, NewtonConfig, assemble_jacobian, build_grid,
                     coarse_to_fine, damped_newton, default_params, disc, ex1, ex4, max_error,
                     poisson_init, rectangle, scheme_apply, solve_problem, square, solver)
+from quadma.cli import main
 from quadma.meshing import CLEARANCE
 from quadma.operator import _laplacian_system
 from quadma.solver import _nearest_node, _solve_linear, interpolate_to_grid
@@ -61,7 +63,14 @@ def test_newton_config_validation():
             NewtonConfig(residual_threshold_factor=factor)
     with pytest.raises(ValueError):
         NewtonConfig(max_iterations=-3)
+    # nan ran 0 steps, 2.5 ran 3 and inf lifted the budget
+    for budget in (np.nan, 2.5, np.inf, 3.0, True):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            NewtonConfig(max_iterations=budget)
     assert NewtonConfig(max_iterations=0).max_iterations == 0
+    assert NewtonConfig(max_iterations=np.int64(7)).max_iterations == 7
+    with pytest.raises(TypeError):
+        NewtonConfig(verbose=True)  # progress goes to the quadma.solver logger
 
 
 def test_newton_zero_iterations_at_solution():
@@ -203,16 +212,77 @@ def test_newton_keeps_boundary_exactly_g(backend, n, start):
     assert np.all(res[ni:] == 0.0)
 
 
-def test_newton_verbose_logs_to_stderr(capsys):
+def _progress_lines(report):
+    """The progress line of each accepted Newton step of ``report``."""
+    return [f"iter {i + 1}: residual={report.residual_history[i + 1]:.6e}, "
+            f"alpha={report.alpha_history[i]:.6e}, linear_solve={report.linear_solves[i]}, "
+            f"krylov_its={report.linear_iterations[i]}, eta={report.forcing[i]:.3e}"
+            for i in range(report.iterations)]
+
+
+def test_newton_logs_each_step_at_debug(caplog):
     prob = ex1()
     grid = build_grid(prob.domain, "hex", 12)
     params = default_params(grid)
     u0 = poisson_init(grid, prob.f, prob.g)
-    damped_newton(grid, params, prob.f, prob.g, u0, NewtonConfig(verbose=True))
-    err = capsys.readouterr().err
-    assert "iter 1: residual=" in err and "alpha=" in err
-    assert "linear_solve=bicgstab" in err
-    assert "krylov_its=" in err and "eta=1.000e-01" in err
+    with caplog.at_level(logging.DEBUG, logger="quadma.solver"):
+        _, report = damped_newton(grid, params, prob.f, prob.g, u0)
+    records = [r for r in caplog.records if r.name == "quadma.solver"]
+    assert report.converged and report.iterations >= 2
+    assert {r.levelno for r in records} == {logging.DEBUG}
+    assert [r.getMessage() for r in records] == _progress_lines(report)
+
+
+@pytest.mark.parametrize("warm_start", [False, True])
+def test_solve_writes_nothing_to_standard_streams(capsys, warm_start):
+    _, _, report, _ = solve_problem(ex4(), "cartesian", 24, warm_start=warm_start)
+    assert report.converged
+    assert capsys.readouterr() == ("", "")
+
+
+def test_newton_verbose_logs_to_stderr(capsys):
+    # --verbose shows the quadma.solver records on stderr, one line per step,
+    # for that call only: no leaked level, no handler left behind
+    argv = ["solve", "--problem", "ex1", "--backend", "hex", "--n", "12"]
+    _, _, report, _ = solve_problem(ex1(), "hex", 12)
+    expected = "".join(line + "\n" for line in _progress_lines(report))
+    quadma_logger = logging.getLogger("quadma")
+    state = quadma_logger.level, list(quadma_logger.handlers)
+
+    assert main([*argv, "--verbose"]) == 0
+    assert capsys.readouterr().err == expected
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    for _ in range(2):
+        assert main([*argv, "--verbose"]) == 0
+    assert capsys.readouterr().err == expected * 2
+    assert (quadma_logger.level, quadma_logger.handlers) == state
+
+
+def test_line_search_stall_report(monkeypatch):
+    # a zero Newton step never decreases the residual: the line search tries
+    # all 21 step lengths 1, 1/2, ..., 2**-20 and the solve stops there
+    prob = ex1()
+    grid = build_grid(prob.domain, "hex", 16)
+    params = default_params(grid)
+    u0 = poisson_init(grid, prob.f, prob.g)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return scheme_apply(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_solve_linear",
+                        lambda A, b, rtol: (np.zeros_like(b), "bicgstab", 0))
+    monkeypatch.setattr(solver, "scheme_apply", counted)
+    _, report = damped_newton(grid, params, prob.f, prob.g, u0)
+    assert report.converged is False
+    assert report.iterations == 0
+    assert report.message.startswith("line search stalled")
+    assert report.final_residual == report.residual_history[-1]
+    assert report.linear_solves == ["bicgstab"]
+    assert report.alpha_history == []
+    assert len(calls) == 22
 
 
 def test_newton_rejects_nonfinite_start(cart_grid, zeros):
