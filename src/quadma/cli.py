@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import logging
 import os
@@ -32,12 +33,16 @@ from .solver import NewtonConfig
 CSV_HEADER = "n,h,max_error,runtime_seconds,newton_iters"
 
 
+def _temp_beside(path: str) -> tuple[int, str]:
+    return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".quadma-")
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write via a temp file in the same directory, then rename; a path
     that cannot be written is a config error."""
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".quadma-")
+        fd, tmp = _temp_beside(path)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -47,6 +52,20 @@ def _atomic_write(path: str, text: str) -> None:
         if isinstance(exc, OSError):
             _fail_config(f"cannot write {path}: {exc.strerror or exc}")
         raise
+
+
+def _check_writable(*paths) -> None:
+    """Fail now, as ``_atomic_write`` would after the work, for each given
+    path that is a directory or beside which no temp file can be made."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            _fail_config(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+        try:
+            fd, tmp = _temp_beside(path)
+            os.close(fd)
+            os.unlink(tmp)
+        except OSError as exc:
+            _fail_config(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _write_json(path: str, payload) -> None:
@@ -130,6 +149,7 @@ def _newton_config(args) -> NewtonConfig:
 
 
 def _cmd_solve(args) -> int:
+    _check_writable(args.output)
     problem = BENCHMARKS[args.problem]()
     grid, values, report, params = solve_problem(
         problem, args.backend, args.n, K=args.K, epsilon=args.epsilon, cfg=_newton_config(args),
@@ -163,6 +183,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    _check_writable(args.output_csv, args.output_json)
     problem = BENCHMARKS[args.problem]()
     result = convergence_study(
         problem, args.backend, args.n_list, K=args.K, c_K=args.c_K, epsilon=args.epsilon,

@@ -40,8 +40,10 @@ class ConvexDomain:
         builders call it once on the tiling, then once per bisection
         pass (54 to 62 on the benchmark grids, see ``BISECTION_PASSES``)
         on every stencil arm that exits the domain, so its cost is grid
-        build cost: write it on the coordinate planes ``p[..., 0]`` and
-        ``p[..., 1]``, as the built-in shapes do, rather than with
+        build cost.  The bisection passes it a transposed view, an
+        ``(m, 2)`` array whose columns ``p[..., 0]`` and ``p[..., 1]``
+        are contiguous: write it on those coordinate planes, as the
+        built-in shapes do, rather than with
         ``np.linalg.norm(..., axis=-1)``, whose reduction over the
         length-2 axis costs several times the arithmetic.
     bounding_box : tuple of float
@@ -140,30 +142,52 @@ def make_domain(name: str, **params) -> ConvexDomain:
 
 # Upper bound on the bisection passes of _boundary_crossings: 80 take any
 # bracket below double-precision resolution, while the mesh builders'
-# brackets reach the fixed point in 54 to 62 passes.
+# brackets reach the fixed point in 54 to 62 passes.  The ends of a bracket
+# [0, B] can be adjacent doubles only after about as many halvings as a
+# double has mantissa bits (52), so the fixed-point test starts after
+# FIXED_POINT_PASSES passes; a test that starts late only adds passes that
+# repeat the fixed point, which changes no result.  On every benchmark grid
+# the first ray to keep its bracket does so at pass 53.
 BISECTION_PASSES = 80
+FIXED_POINT_PASSES = np.finfo(float).nmant
 
 
 def _boundary_crossings(domain: ConvexDomain, origins, directions, brackets):
     """Distance along each ray to the boundary, by vectorized bisection.
 
-    ``origins`` and ``directions`` have shape ``(m, 2)``; ``brackets`` holds,
-    per ray, an upper bound on the crossing distance at which the signed
-    distance is already nonnegative.  The domain is convex and the origins
-    interior, so each ray crosses the boundary once.  The mesh builders
-    bracket with the nominal stencil arm length.  Halving stops at the fixed
-    point, the first pass that changes no ``lo`` and no ``hi`` (every later
-    pass would repeat it, so the result is the same bit for bit), and after
-    ``BISECTION_PASSES`` passes at most.
+    ``origins`` and ``directions`` have shape ``(m, 2)``, in any memory
+    layout; ``brackets`` holds, per ray, an upper bound on the crossing
+    distance at which the signed distance is already nonnegative.  The
+    domain is convex and the origins interior, so each ray crosses the
+    boundary once.  The mesh builders bracket with the nominal stencil arm
+    length.  The rays are held as coordinate planes: every pass writes
+    ``ox + mid*dx`` and ``oy + mid*dy`` into the rows of one ``(2, m)``
+    buffer, the float operations of ``origins + mid[:, None] * directions``,
+    and hands the sdf its ``(m, 2)`` transpose.  Halving stops at the fixed
+    point, the first pass that changes no ``lo`` and no ``hi``, tested from
+    pass ``FIXED_POINT_PASSES + 1`` on, and after ``BISECTION_PASSES``
+    passes at most.  Every pass after the fixed point repeats it, so the
+    result is the same bit for bit as with all ``BISECTION_PASSES`` halvings
+    or with a test on every pass.  An empty ray set still runs
+    ``FIXED_POINT_PASSES + 1`` passes, each an sdf call on no points.
     """
+    ox, oy = np.ascontiguousarray(np.asarray(origins, dtype=float).T)
+    dx, dy = np.ascontiguousarray(np.asarray(directions, dtype=float).T)
     lo = np.zeros(len(brackets))
     hi = np.asarray(brackets, dtype=float).copy()
-    for _ in range(BISECTION_PASSES):
-        mid = 0.5 * (lo + hi)
-        inside = domain.signed_distance(origins + mid[:, None] * directions) < 0.0
-        new_lo = np.where(inside, mid, lo)
-        new_hi = np.where(inside, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+    mid = np.empty_like(lo)
+    points = np.empty((2, len(lo)))
+    for k in range(1, BISECTION_PASSES + 1):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.multiply(mid, dx, out=points[0])
+        points[0] += ox
+        np.multiply(mid, dy, out=points[1])
+        points[1] += oy
+        inside = domain.signed_distance(points.T) < 0.0
+        # the pass changes nothing if every end it would move is mid already
+        if k > FIXED_POINT_PASSES and np.array_equal(np.where(inside, lo, hi), mid):
             break
-        lo, hi = new_lo, new_hi
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
     return 0.5 * (lo + hi)

@@ -248,31 +248,34 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     """
     interior_points = np.asarray(interior_points, dtype=float)
     n_int = len(interior_points)
-    dirs_all = angles.directions()
 
     # (row, angle, sign) in C order = Algorithm-1 nesting: node, angle, +/-.
-    missing = np.stack([plus_index < 0, minus_index < 0], axis=2)
-    rows, cols, signs = np.nonzero(missing)
-    plus = signs == 0
+    # ``slot`` is the arm's flat position in the (row, angle) stencil arrays.
+    arm = np.flatnonzero(np.stack([plus_index < 0, minus_index < 0], axis=2))
+    slot, minus = np.divmod(arm, 2)
+    plus = minus == 0
+    rows, cols = np.divmod(slot, plus_index.shape[1])
 
-    origins = interior_points[rows]
-    rays = dirs_all[cols] * np.where(plus, 1.0, -1.0)[:, None]
-    brackets = np.where(plus, h_plus[rows, cols], h_minus[rows, cols])
+    # rays on coordinate planes, (2, m): x row, y row
+    origins = interior_points.T.take(rows, axis=1)
+    rays = angles.directions().T.take(cols, axis=1) * np.where(plus, 1.0, -1.0)
+    brackets = np.where(plus, h_plus.take(slot), h_minus.take(slot))
     # An arm whose tiling neighbor lies inside the domain but within the
     # clearance ends at that neighbor, which becomes a boundary point
     # (u = g there); the arm keeps its full tiling length, and no
     # crossing is sought, since the crossing lies beyond the neighbor.
-    cross = np.where(plus, plus_index[rows, cols], minus_index[rows, cols]) != NEAR_NODE
+    cross = np.where(plus, plus_index.take(slot), minus_index.take(slot)) != NEAR_NODE
     ts = brackets.copy()
-    ts[cross] = _boundary_crossings(domain, origins[cross], rays[cross], brackets[cross])
-    crossings = origins + ts[:, None] * rays
+    ts[cross] = _boundary_crossings(domain, origins[:, cross].T, rays[:, cross].T,
+                                    brackets[cross])
+    crossings = (origins + ts * rays).T
 
     # groups are numbered in order of their first end point
     heads, k = np.unique(_merge_labels(crossings, dedup_tol), return_inverse=True)
-    plus_index[rows[plus], cols[plus]] = n_int + k[plus]
-    h_plus[rows[plus], cols[plus]] = ts[plus]
-    minus_index[rows[~plus], cols[~plus]] = n_int + k[~plus]
-    h_minus[rows[~plus], cols[~plus]] = ts[~plus]
+    np.put(plus_index, slot[plus], n_int + k[plus])
+    np.put(h_plus, slot[plus], ts[plus])
+    np.put(minus_index, slot[~plus], n_int + k[~plus])
+    np.put(h_minus, slot[~plus], ts[~plus])
     boundary_points = crossings[heads]
 
     points = np.vstack([interior_points, boundary_points])
@@ -415,12 +418,14 @@ def build_grid(domain: ConvexDomain, backend: str, n: int, K: int | None = None)
     ``K`` is the Cartesian stencil depth, by default
     ``default_stencil_depth(n)``; the hex stencil has no depth, so a ``K``
     with it is a ValueError.  An ``n`` or ``K`` that is not an integer (a
-    bool is not) is a ValueError.
+    bool is not) is a ValueError; numpy integers are taken, and
+    ``grid.params`` holds them as Python ints.
     """
     if not _is_integer(n):
         raise ValueError(f"grid size n must be an integer, got {n}")
     if K is not None and not _is_integer(K):
         raise ValueError(f"stencil depth K must be an integer, got {K}")
+    n, K = int(n), None if K is None else int(K)
     if backend == "cartesian":
         return _cartesian_mesh(domain, n, default_stencil_depth(n) if K is None else K)
     if backend in ("hex", "hexagonal"):

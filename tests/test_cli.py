@@ -3,6 +3,7 @@ import json
 import pytest
 
 from quadma import build_grid, default_params, ex2, grid_diagnostics
+from quadma import cli
 from quadma.cli import CSV_HEADER, _build_parser, _parse_args, main
 
 
@@ -368,6 +369,8 @@ def test_values_the_library_rejects_exit_2(tmp_path, monkeypatch, capsys, argv, 
 UNWRITABLE_OUTPUTS = {
     "solve": ["solve", "--problem", "ex1", "--backend", "hex", "--n", "12", "--output"],
     "study": ["study", "--problem", "ex1", "--backend", "hex", "--n", "12", "--output-csv"],
+    "study-json": ["study", "--problem", "ex1", "--backend", "hex", "--n", "12",
+                   "--output-csv", "{ok}", "--output-json"],
     "angles": ["angles", "--K", "3", "--output"],
     "mesh-dump": ["mesh-dump", "--backend", "hex", "--n", "12", "--output"],
 }
@@ -375,15 +378,23 @@ UNWRITABLE_OUTPUTS = {
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 @pytest.mark.parametrize("command", sorted(UNWRITABLE_OUTPUTS))
-def test_unwritable_output_path_exits_2(tmp_path, capsys, command, where):
-    # a config error after the work is done, with no temp file left behind
+def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, command, where):
+    # a config error, with no file and no temp file left behind, not even
+    # the writable CSV beside an unwritable JSON; solve and study check
+    # every output path before they solve
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before checking the output paths")
+
+    monkeypatch.setattr(cli, "solve_problem", solve)
+    monkeypatch.setattr(cli, "convergence_study", solve)
     path = tmp_path / "out.json"
     if where == "missing-directory":
         path = tmp_path / "missing" / "out.json"
     else:
         path.mkdir()   # the temp file goes beside it, in tmp_path
+    argv = [arg.format(ok=tmp_path / "ok.csv") for arg in UNWRITABLE_OUTPUTS[command]]
     with pytest.raises(SystemExit) as exc:
-        main([*UNWRITABLE_OUTPUTS[command], str(path)])
+        main([*argv, str(path)])
     assert exc.value.code == 2
     assert f"quadma: config error: cannot write {path}: " in capsys.readouterr().err
-    assert not list(tmp_path.rglob(".quadma-*"))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out.json"] * (where == "directory")

@@ -348,8 +348,18 @@ def test_boundary_crossings_match_plain_bisection(shape, lower_left, size, aspec
     arm = domain.signed_distance(origins + h * directions) >= 0.0
     brackets[arm] = h
     assert arm.any()
-    got = _boundary_crossings(domain, origins, directions, brackets)
-    assert np.array_equal(got, boundary_crossings_reference(domain, origins, directions, brackets))
+    expected = boundary_crossings_reference(domain, origins, directions, brackets)
+    assert np.array_equal(_boundary_crossings(domain, origins, directions, brackets), expected)
+    # the rays are read as coordinate planes whatever the inputs' layout:
+    # Fortran order, every third row, every other column, rows reversed
+    for layout in (np.asfortranarray,
+                   lambda a: np.repeat(a, 3, axis=0)[1::3],
+                   lambda a: np.insert(a, 1, np.nan, axis=1)[:, ::2],
+                   lambda a: a[::-1].copy()[::-1]):
+        o, d = layout(origins), layout(directions)
+        assert np.array_equal(o, origins) and np.array_equal(d, directions)
+        assert not (o.flags.c_contiguous and d.flags.c_contiguous)
+        assert np.array_equal(_boundary_crossings(domain, o, d, brackets), expected)
 
 
 def test_hex_structure(hex_grid):
@@ -472,11 +482,18 @@ def test_build_grid_requires_integer_sizes(unit_square, backend, n, K, named):
 
 
 def test_build_grid_takes_numpy_integers(unit_square):
-    grid = build_grid(unit_square, "cartesian", np.int64(12), np.int32(2))
-    reference = build_grid(unit_square, "cartesian", 12, 2)
-    assert np.array_equal(grid.points, reference.points)
-    assert np.array_equal(build_grid(unit_square, "hex", np.int64(12)).points,
-                          build_grid(unit_square, "hex", 12).points)
+    # the same grid as from Python ints, whose params hold Python ints, so
+    # that the grid dumps to JSON
+    for backend, n, K in [("cartesian", np.int64(12), np.int32(2)),
+                          ("cartesian", np.int32(14), None),
+                          ("hex", np.int64(12), None),
+                          ("hex", np.uint16(13), None)]:
+        grid = build_grid(unit_square, backend, n, K)
+        reference = build_grid(unit_square, backend, int(n), None if K is None else int(K))
+        assert _grid_digest(grid) == _grid_digest(reference)
+        assert grid.params == reference.params
+        assert all(type(grid.params[key]) is int for key in ("n", "K") if key in grid.params)
+        assert json.dumps(grid_to_jsonable(grid)) == json.dumps(grid_to_jsonable(reference))
 
 
 @pytest.mark.parametrize("backend", ["hex", "hexagonal"])
