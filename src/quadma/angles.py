@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class AngularDiscretization:
     """Ordered angles in ``[0, pi)`` with wraparound gap bookkeeping.
 
@@ -76,9 +81,9 @@ class AngularDiscretization:
 
 
 def uniform_angles(count: int) -> AngularDiscretization:
-    """``count`` equally spaced angles ``j * pi / count``."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    """``count`` equally spaced angles ``j * pi / count``, ``count`` a positive integer."""
+    if not (_is_integer(count) and count >= 1):
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     return AngularDiscretization(np.arange(count) * (np.pi / count))
 
 
@@ -91,10 +96,11 @@ def l1_offsets(K: int) -> np.ndarray:
     """Integer lattice offsets on the upper half of the L1 circle of radius K.
 
     Row ``j`` is ``(K - j, K - |K - j|)`` for ``j = 0, ..., 2K-1``; the
-    opposite half of the circle is reached by negation.
+    opposite half of the circle is reached by negation.  ``K`` must be a
+    positive integer.
     """
-    if K < 1:
-        raise ValueError("stencil depth K must be at least 1")
+    if not (_is_integer(K) and K >= 1):
+        raise ValueError(f"stencil depth K must be a positive integer, got {K!r}")
     j = np.arange(2 * K)
     return np.column_stack([K - j, K - np.abs(K - j)])
 

@@ -179,10 +179,12 @@ def fit_order(ns, errors):
     than three of their residual standard deviations (a same-fit variance
     test cannot flag an outlier among only a handful of rows, since the
     outlier inflates the variance it is tested against).  Errors at
-    rounding level make the fit meaningless and yield NaN.
+    rounding level yield NaN; sizes must be finite and positive.
     """
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
+    if not np.all(np.isfinite(ns) & (ns > 0.0)):
+        raise ValueError(f"grid sizes must be finite and positive, got {ns.tolist()}")
     keep = np.isfinite(errors) & (errors > 0.0)
     ns, errors = ns[keep], errors[keep]
     if len(ns) < 2 or np.all(errors < 1e-13):

@@ -53,14 +53,14 @@ alignment never relies on floating-point matching.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
+import scipy.sparse as sp
 
-from .angles import AngularDiscretization, hex_angles, l1_angles, l1_offsets
+from .angles import AngularDiscretization, _is_integer, hex_angles, l1_angles, l1_offsets
 from .domains import ConvexDomain, _boundary_crossings
 
 __all__ = [
@@ -82,22 +82,6 @@ CLEARANCE = 0.01
 # augment_boundary, a tiling node inside the domain but within the
 # clearance of its boundary (-1 marks one outside the domain or the tiling).
 NEAR_NODE = -2
-
-
-class StencilPattern(NamedTuple):
-    """Sparsity of the interior block of the stencil rows, the columns below ``Ni``.
-
-    An entry's value is gathered from the stencil data
-    ``concat((G*cp).ravel(), (G*cm).ravel(), diagonal)``: plus arms, minus
-    arms, then the interior centers.  The block is CSR with the columns
-    sorted within each row (no two arms of a node end at the same interior
-    node).  Arms that end at boundary points have no entry: a Newton step
-    keeps the boundary values fixed.
-    """
-
-    indptr: np.ndarray    # (Ni + 1,) int32
-    indices: np.ndarray   # columns, int32
-    gather: np.ndarray    # data slot of each entry
 
 
 @dataclass
@@ -152,25 +136,40 @@ class Grid:
         """``(N,)`` bool mask of the interior points, the first ``n_interior``."""
         return np.arange(self.n_points) < self.n_interior
 
-    @cached_property
-    def stencil_pattern(self) -> StencilPattern:
+    def _stencil_block(self, boundary: bool = False, angles=None) -> sp.csr_matrix:
+        """The stencil rows' CSR block over the interior columns, or the boundary ones.
+
+        It holds the entries of the stencil table ``[plus_index | minus_index
+        | self]`` in those columns, along the angles that an ``(M+1,)`` mask
+        ``angles`` marks, if given.  Each datum is the entry's slot in
+        ``operator._stencil_data``; scipy's ``sort_indices`` sorts the columns.
+        The arrays are read-only, the indices int32 (scipy's pick), so that
+        matrices filled from the block share them.
+        """
         ni, m = self.plus_index.shape
-        cols = np.hstack([self.plus_index, self.minus_index, np.arange(ni)[:, None]])
+        cols = np.hstack([self.plus_index, self.minus_index, np.arange(ni)[:, None]],
+                         dtype=np.int32)
+        keep = cols >= ni if boundary else cols < ni
+        if angles is not None:
+            keep &= np.concatenate([angles, angles, [True]])
         arm = np.arange(ni * m).reshape(ni, m)
         slots = np.hstack([arm, ni * m + arm, 2 * ni * m + np.arange(ni)[:, None]])
-        boundary = cols >= ni
-        # boundary columns are the largest, so they sort to the end of each row
-        order = np.argsort(cols, axis=1)
-        interior = ~np.take_along_axis(boundary, order, axis=1)
-        # int32 indices, the type scipy picks for them, so that matrices
-        # share these arrays instead of converting a copy on every build
-        pattern = StencilPattern(
-            np.concatenate([[0], np.cumsum(interior.sum(axis=1))]).astype(np.int32),
-            np.take_along_axis(cols, order, axis=1)[interior].astype(np.int32),
-            np.take_along_axis(slots, order, axis=1)[interior])
-        for array in pattern:
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))]).astype(np.int32)
+        indices = cols[keep]
+        if boundary:
+            indices -= ni
+        block = sp.csr_matrix((slots[keep], indices, indptr),
+                              shape=(ni, self.n_points - ni if boundary else ni))
+        block.sort_indices()
+        for array in (block.indptr, block.indices, block.data):
             array.flags.writeable = False
-        return pattern
+        return block
+
+    @cached_property
+    def stencil_pattern(self) -> sp.csr_matrix:
+        """The interior block that every Jacobian refills; a Newton step keeps
+        the boundary values fixed, so arms to them have no entry."""
+        return self._stencil_block()
 
     def __repr__(self) -> str:
         return (f"Grid({self.kind}, {self.n_points} points, "
@@ -337,8 +336,7 @@ def _cartesian_mesh(domain: ConvexDomain, n: int, K: int) -> Grid:
     the spacing is the same in both directions.  Requires ``n >= 2K + 3``
     so that at least the central nodes carry full-width stencils.
     """
-    if K < 1:
-        raise ValueError("stencil depth K must be at least 1")
+    offs = l1_offsets(K)                            # (dx, dy) in lattice steps
     if n < 2 * K + 3:
         raise ValueError(f"need n >= 2K + 3 = {2 * K + 3} points per side, got {n}")
     xmin, xmax, ymin, ymax = domain.bounding_box
@@ -346,7 +344,6 @@ def _cartesian_mesh(domain: ConvexDomain, n: int, K: int) -> Grid:
     h = max(width, height) / (n - 1)
     shape = (int(math.ceil(height / h - 1e-9)) + 1, int(math.ceil(width / h - 1e-9)) + 1)
 
-    offs = l1_offsets(K)                            # (dx, dy) in lattice steps
     arm = h * np.hypot(offs[:, 0], offs[:, 1])
     offs = offs[:, ::-1]
     return _tiling_grid(domain, "cartesian", np.ones(shape, dtype=bool), (h, h),
@@ -399,17 +396,14 @@ def default_stencil_depth(n: int, c_K: float = 1.0) -> int:
 
     With ``h ~ 1/n`` this realizes a stencil width ``r = K*h`` on the order
     of ``h**(2/3)``, the width that balances the angular and finite
-    difference components of the truncation error.  ``c_K`` must be finite
-    and positive.
+    difference components of the truncation error.  ``n`` must be a
+    positive integer and ``c_K`` finite and positive.
     """
+    if not (_is_integer(n) and n >= 1):
+        raise ValueError(f"grid size n must be a positive integer, got {n!r}")
     if not 0.0 < c_K < math.inf:
         raise ValueError(f"c_K must be finite and positive, got {c_K}")
     return max(2, int(round(c_K * n ** (1.0 / 3.0))))
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, numpy's included, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def build_grid(domain: ConvexDomain, backend: str, n: int, K: int | None = None) -> Grid:

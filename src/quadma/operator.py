@@ -20,8 +20,8 @@ toward the constant ``eps`` branch), the standard semismooth convention.
 The Jacobian is assembled on the interior unknowns only, an M-matrix by
 monotonicity, on a sparsity pattern each grid computes once; every step
 refills only its values.  The discrete Laplacian of the Poisson start is
-the same weighted sum of second differences with fixed weights, assembled
-on the same pattern.
+the same weighted sum of second differences with fixed weights, on its
+own blocks of the same stencil table.
 """
 
 from __future__ import annotations
@@ -85,16 +85,19 @@ def sdd_matrix(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 def _stencil_data(grid: Grid, G: np.ndarray) -> np.ndarray:
     """Entries ``concat((G*cp).ravel(), (G*cm).ravel(), diagonal)`` of the
-    rows ``sum_j G[:, j] * D_j``, which ``grid.stencil_pattern`` gathers."""
+    rows ``sum_j G[:, j] * D_j``, which the grid's stencil blocks gather."""
     return np.concatenate([(G * grid.cp).ravel(), (G * grid.cm).ravel(),
                            -(G * (grid.cp + grid.cm)).sum(axis=1)])
 
 
+def _fill(block: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """A stencil block with its slots' entries of ``data``, sharing its indices."""
+    return sp.csr_matrix((data[block.data], block.indices, block.indptr), shape=block.shape)
+
+
 def _interior_block(grid: Grid, data: np.ndarray) -> sp.csr_matrix:
-    """The interior block of the stencil rows, sharing the grid's pattern."""
-    ni = grid.n_interior
-    pattern = grid.stencil_pattern
-    return sp.csr_matrix((data[pattern.gather], pattern.indices, pattern.indptr), shape=(ni, ni))
+    """The interior block of the stencil rows, on the grid's pattern."""
+    return _fill(grid.stencil_pattern, data)
 
 
 def _laplacian_coefficients(grid: Grid) -> np.ndarray:
@@ -119,23 +122,15 @@ def _laplacian_system(grid: Grid) -> tuple[sp.csc_matrix, sp.csr_matrix]:
     """Discrete Laplacian at the interior nodes, split into ``(A, B)``.
 
     The rows applied to a grid function ``v`` are ``A @ v[:ni] + B @ v[ni:]``.
-    ``A``, the interior block, is assembled as the Jacobian is and returned
-    as CSC without stored zeros, ready for a direct solve.  ``B`` couples
-    the interior rows to the boundary values; only the Poisson start reads
-    it, so it is built here from the arms that end at a boundary point.
+    Both are blocks of the grid's stencil table, filled as the Jacobian is.
+    ``A`` keeps only the angles of nonzero weight, so it stores no zeros,
+    which slow the factorization many times over, and needs no Newton
+    pattern; it is CSC, for a direct solve.  ``B`` reads the boundary values.
     """
-    ni = grid.n_interior
     lam = _laplacian_coefficients(grid)
-    # the unused Cartesian angles leave stored zeros, which slow the
-    # factorization down many times over; tocsc also copies the shared pattern
-    A = _interior_block(grid, _stencil_data(grid, lam)).tocsc()
-    A.eliminate_zeros()
-    triplets = []
-    for index, c in ((grid.plus_index, grid.cp), (grid.minus_index, grid.cm)):
-        r, j = np.nonzero(index >= ni)
-        triplets.append((lam[j] * c[r, j], r, index[r, j] - ni))
-    data, rows, cols = map(np.concatenate, zip(*triplets))
-    return A, sp.csr_matrix((data, (rows, cols)), shape=(ni, grid.n_points - ni))
+    data = _stencil_data(grid, lam)
+    A = _fill(grid._stencil_block(angles=lam != 0.0), data).tocsc()
+    return A, _fill(grid._stencil_block(boundary=True), data)
 
 
 def _branches(grid: Grid, u: np.ndarray, params: SchemeParams):

@@ -30,7 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshing import Grid, _is_integer, build_grid
+from .angles import _is_integer
+from .meshing import Grid, build_grid
 from .operator import SchemeParams, _evaluate, _laplacian_system, assemble_jacobian, \
     default_params, scheme_apply, sdd_matrix
 

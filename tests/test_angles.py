@@ -41,6 +41,17 @@ def test_l1_rejects_zero_depth():
         l1_angles(0)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0), "4"])
+def test_angle_counts_must_be_integers(value):
+    # 2.5 built 5 L1 angles and 3 uniform ones, True one uniform angle
+    with pytest.raises(ValueError, match="positive integer"):
+        l1_angles(value)
+    with pytest.raises(ValueError, match="positive integer"):
+        uniform_angles(value)
+    assert len(l1_angles(np.int64(3))) == 6
+    assert len(uniform_angles(np.int32(4))) == 4
+
+
 def test_gaps_sum_to_pi():
     for d in (hex_angles(), uniform_angles(7), l1_angles(3), l1_angles(8),
               AngularDiscretization([0.1, 0.5, 2.0, 3.0])):

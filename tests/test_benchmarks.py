@@ -132,6 +132,13 @@ def test_fit_order_skipped_for_exact_data():
     assert np.isnan(order) and np.isnan(order_all)
 
 
+@pytest.mark.parametrize("ns", [[0, 16], [-16, 32], [16, np.inf], [np.nan, 16]])
+def test_fit_order_rejects_sizes_that_are_not_positive(ns):
+    # a zero size fed log(0) to the least-squares fit, which failed in LAPACK
+    with pytest.raises(ValueError, match="finite and positive"):
+        fit_order(ns, [1e-3, 1e-4])
+
+
 def test_study_with_exact_stub(monkeypatch):
     p = ex1()
 
@@ -167,6 +174,13 @@ def test_study_requires_increasing_sizes():
     for n_list in ([32, 16], [16, 16]):
         with pytest.raises(ValueError, match="strictly increasing"):
             convergence_study(ex1(), "hex", n_list)
+
+
+@pytest.mark.parametrize("backend,c_K", [("cartesian", 1.0), ("cartesian", None), ("hex", None)])
+def test_study_rejects_a_negative_size(backend, c_K):
+    # the depth schedule took the cube root of -8, a complex number
+    with pytest.raises(ValueError):
+        convergence_study(ex1(), backend, [-8, 16], c_K=c_K)
 
 
 @pytest.mark.parametrize("backend,K", [("hex", None), ("hexagonal", None), ("cartesian", 2)])

@@ -461,6 +461,9 @@ def test_size_preconditions(unit_square):
         build_grid(unit_square, "cartesian", 6, 2)   # below 2K + 3
     with pytest.raises(ValueError):
         build_grid(unit_square, "cartesian", 12, 0)
+    for backend in ("cartesian", "hex"):
+        with pytest.raises(ValueError):
+            build_grid(unit_square, backend, -5)
     with pytest.raises(ValueError):
         build_grid(unit_square, "hex", 6)
     with pytest.raises(ValueError):
@@ -513,6 +516,11 @@ def test_default_stencil_depth_schedule():
     for c_K in (0.0, -0.5, np.inf, np.nan):
         with pytest.raises(ValueError, match="c_K"):
             default_stencil_depth(64, c_K=c_K)
+    assert default_stencil_depth(np.int64(64)) == 4
+    # -5 raised TypeError (its cube root is complex), True gave depth 2
+    for n in (-5, 0, True, 64.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            default_stencil_depth(n)
 
 
 def test_grid_json_roundtrip(square9_k2):

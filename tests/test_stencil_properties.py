@@ -3,14 +3,17 @@
 The scheme is monotone, so the interior rows of its Jacobian have
 nonpositive off-diagonals and zero row sums (the interior block is an
 M-matrix).  The Poisson Laplacian has the mirror-image signs.  Both are
-built by one stencil core on a sparsity pattern each grid computes once;
-these properties pin that core against a whole-grid COO reference, pin its
-sign structure on squares, rectangles and discs of random placement and
-size, and check that the Krylov solve of the Newton step, which relies on
-it, meets its tolerance there.
+blocks of one stencil table, filled from one stencil data layout: the
+Jacobian on the interior pattern each grid computes once, the Laplacian on
+its own blocks, whose interior one leaves out the angles of zero weight.
+These properties pin those blocks against a whole-grid COO reference, pin
+their sign structure on squares, rectangles and discs of random placement
+and size, and check that the Krylov solve of the Newton step, which relies
+on it, meets its tolerance there.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +98,20 @@ def test_stencil_blocks_match_whole_grid_reference(grid, seed, zeros, laplacian)
         assert np.shares_memory(getattr(A, name), getattr(A2, name))
         assert not getattr(A, name).flags.writeable
     assert np.array_equal(A2.data, 2.0 * A.data)
+
+
+@pytest.mark.parametrize("backend", ["cartesian", "hex"])
+def test_laplacian_is_built_without_the_newton_pattern(backend):
+    grid = build_grid(disc((0.1, -0.2), 0.8), backend, 24)
+    A, B = _laplacian_system(grid)
+    assert "stencil_pattern" not in vars(grid)
+    assert A.format == "csc" and B.format == "csr"
+    assert np.all(A.data != 0.0)
+    pattern = grid.stencil_pattern
+    for array in (pattern.indptr, pattern.indices):
+        assert array.dtype == np.int32
+        assert not array.flags.writeable
+    assert grid.stencil_pattern is pattern
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
