@@ -148,7 +148,7 @@ def solve_problem(problem: BenchmarkProblem, backend: str, n: int, *,
 
 @dataclass
 class ConvergenceRow:
-    """One grid size of a convergence study."""
+    """One grid size of a convergence study; ``message`` says why it failed, if it did."""
 
     n: int
     h: float
@@ -217,9 +217,10 @@ def convergence_study(problem: BenchmarkProblem, backend: str, n_list, *,
     ``K`` fixes the Cartesian stencil depth for every row; by default the
     depth follows the ``round(n**(1/3))`` schedule (scaled by ``c_K`` if
     given).  A ``c_K`` beside ``K``, or on the hex backend, which has no
-    depth, is a ValueError.  Solver failures (``RuntimeError``) are recorded
-    per row (NaN error) and do not abort the remaining rows; a
-    ``ValueError``, a size or depth the library rejects, propagates.
+    depth, is a ValueError.  A failed row keeps the reason in its message;
+    a solver ``RuntimeError`` gives it a NaN error and does not abort the
+    remaining rows; a ``ValueError``, a size or depth the library
+    rejects, propagates.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -239,7 +240,7 @@ def convergence_study(problem: BenchmarkProblem, backend: str, n_list, *,
                 warm_start=warm_start)
             err = max_error(grid, values, problem)
             rows.append(ConvergenceRow(n, grid.h, err, time.perf_counter() - start,
-                                       report.iterations, report.converged))
+                                       report.iterations, report.converged, report.message))
         except RuntimeError as exc:
             rows.append(ConvergenceRow(n, float("nan"), float("nan"),
                                        time.perf_counter() - start, 0, False,

@@ -5,8 +5,8 @@ Flags may also be supplied through a JSON config file (``--config``): its
 fields are read as the flags they name, ahead of the command line, so a flag
 given on the command line takes precedence.  Exit status is 2 for
 configuration errors (a value that argparse rejects, or that the library
-rejects with ``ValueError``) and 1 for solver failures; a failed study still
-writes the rows that completed.
+rejects with ``ValueError``) and 1 for solver failures, each of which is
+named on standard error; a failed study still writes the rows that completed.
 """
 
 from __future__ import annotations
@@ -179,6 +179,8 @@ def _cmd_solve(args) -> int:
     print(f"{args.problem} {args.backend} n={args.n}: converged={report.converged} "
           f"iterations={report.iterations} final_residual={report.final_residual:.17e} "
           f"max_error={err:.17e}")
+    if not report.converged:
+        print(f"quadma: solver error: {report.message}", file=sys.stderr)
     return 0 if report.converged else 1
 
 
@@ -208,7 +210,10 @@ def _cmd_study(args) -> int:
     for line in lines:
         print(line)
     print(f"# fitted order: {result.order:.6f} (all rows: {result.order_all_rows:.6f})")
-    return 0 if all(row.converged for row in result.rows) else 1
+    failed = [row for row in result.rows if not row.converged]
+    for row in failed:
+        print(f"quadma: solver error: n={row.n}: {row.message}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_angles(args) -> int:

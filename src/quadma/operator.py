@@ -122,15 +122,16 @@ def _laplacian_system(grid: Grid) -> tuple[sp.csc_matrix, sp.csr_matrix]:
     """Discrete Laplacian at the interior nodes, split into ``(A, B)``.
 
     The rows applied to a grid function ``v`` are ``A @ v[:ni] + B @ v[ni:]``.
-    Both are blocks of the grid's stencil table, filled as the Jacobian is.
-    ``A`` keeps only the angles of nonzero weight, so it stores no zeros,
-    which slow the factorization many times over, and needs no Newton
-    pattern; it is CSC, for a direct solve.  ``B`` reads the boundary values.
+    Both are blocks of the grid's stencil table, filled as the Jacobian is,
+    along the angles of nonzero weight only, so they store no zeros (which
+    slow the factorization many times over) and need no Newton pattern.
+    ``A`` is CSC, for a direct solve; ``B`` reads the boundary values.
     """
     lam = _laplacian_coefficients(grid)
     data = _stencil_data(grid, lam)
-    A = _fill(grid._stencil_block(angles=lam != 0.0), data).tocsc()
-    return A, _fill(grid._stencil_block(boundary=True), data)
+    angles = lam != 0.0
+    A = _fill(grid._stencil_block(angles=angles), data).tocsc()
+    return A, _fill(grid._stencil_block(boundary=True, angles=angles), data)
 
 
 def _branches(grid: Grid, u: np.ndarray, params: SchemeParams):

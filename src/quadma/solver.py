@@ -5,15 +5,16 @@ length chosen so the max-norm residual strictly decreases at every accepted
 step, stopping once the residual falls below ``threshold_factor * h**2``.
 The boundary values are set to the Dirichlet data at entry and never move,
 so each Newton step solves only for the interior unknowns: the interior
-block of the Jacobian, by Jacobi-preconditioned BiCGSTAB, with sparse LU on
-the same block as the fallback; the report names the path each step took.
-The step is inexact: BiCGSTAB stops at a relative residual ``eta`` (the
-forcing term) chosen from the outer progress by Eisenstat and Walker's
-choice 2 (SISC 17, 1996), loose while the residual is large and tight as
-Newton closes in, while the stopping test stays on the true
-nonlinear residual.  The initial guess solves a linear Dirichlet problem for
-the discrete Laplacian with right-hand side ``sqrt(2 f)``, the
-linearization of the determinant equation around an isotropic Hessian.  A
+block of the Jacobian, an M-matrix, by Jacobi-preconditioned BiCGSTAB.  A
+linear solve that fails ends the iteration as a failed solve; no other
+solver stands in for it.  The step is inexact: BiCGSTAB stops at a
+relative residual ``eta`` (the forcing term) chosen from the outer progress
+by Eisenstat and Walker's choice 2 (SISC 17, 1996), loose while the
+residual is large and tight as Newton closes in, while the stopping test
+stays on the true nonlinear residual.  The initial guess solves a linear
+Dirichlet problem for the discrete Laplacian with right-hand side
+``sqrt(2 f)``, the linearization of the determinant equation around an
+isotropic Hessian.  A
 coarse-to-fine warm start (solve small, prolong, then polish) is available
 for larger runs; its prolongation takes, at every fine interior point, the
 second-order Taylor polynomial about the nearest coarse interior node, with
@@ -27,7 +28,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .angles import _is_integer
@@ -68,14 +68,12 @@ class SolveReport:
 
     The fields are in the order of the ``report`` keys of ``quadma solve
     --output``, which writes ``dataclasses.asdict(report)``.
-    ``linear_solves`` names the path of each Newton linear solve
-    (``"bicgstab"``, ``"lu"`` or ``"lu+shift"``, see ``_solve_linear``),
-    ``linear_iterations`` counts its BiCGSTAB iterations (also when the step
-    then fell back to LU): the full ones, plus one if BiCGSTAB stopped
-    halfway through an iteration, at its test after the first half step.
-    ``forcing`` holds the relative tolerance ``eta`` it was given.  Each
-    has one entry per iteration, plus one for the step whose line search
-    stalled, if any.
+    ``linear_iterations`` counts the BiCGSTAB iterations of each Newton
+    linear solve (see ``_solve_linear``): the full ones, plus one if
+    BiCGSTAB stopped halfway through an iteration, at its test after the
+    first half step.  ``forcing`` holds the relative tolerance ``eta`` it
+    was given.  Both have one entry per iteration, plus one for the step
+    whose linear solve failed or whose line search stalled, if any.
     """
 
     converged: bool = False
@@ -84,7 +82,6 @@ class SolveReport:
     alpha_history: list[float] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
     message: str = ""
-    linear_solves: list[str] = field(default_factory=list)
     linear_iterations: list[int] = field(default_factory=list)
     forcing: list[float] = field(default_factory=list)
 
@@ -120,7 +117,7 @@ def poisson_init(grid: Grid, f, g) -> np.ndarray:
 # BiCGSTAB iteration cap per Newton step.  On ex1-ex4 from the Poisson start,
 # both backends, no step took more than 68 iterations at n=128 (ex2 on hex)
 # or 194 at n=256 (ex1 on hex, 28178 interior unknowns); a solve that
-# reaches the cap falls back to the LU path.
+# reaches the cap fails, and so does its Newton iteration.
 BICGSTAB_MAXITER = 2000
 
 # Eisenstat-Walker choice 2 (alpha = 2, gamma = 0.9) for the forcing terms:
@@ -147,46 +144,37 @@ def _forcing_term(residual_history: list[float]) -> float:
     return max(ETA_MIN, min(ETA_MAX, ETA_GAMMA * ratio ** 2))
 
 
-def _solve_linear(A: sp.csr_matrix, b: np.ndarray, rtol: float) -> tuple[np.ndarray, str, int]:
-    """Solve the Newton system ``A x = b`` on the interior unknowns.
+def _solve_linear(A, b: np.ndarray, rtol: float) -> tuple[np.ndarray | None, int, str]:
+    """Solve the Newton system ``A x = b`` for the interior block ``A`` of the Jacobian.
 
-    Returns ``(x, path, iterations)``.  The scheme is monotone, so ``A`` is
-    an M-matrix, and it is solved by Jacobi-preconditioned BiCGSTAB to
-    ``|A x - b| <= rtol * |b|`` (path ``"bicgstab"``); ``iterations``
-    counts its iterations, also when it fails.  If the diagonal has a zero
-    or non-finite entry, or BiCGSTAB fails or returns non-finite values,
-    ``A`` is factored by sparse LU (path ``"lu"``), retried once with a
-    diagonal shift of ``1e-10 * ||A||_inf`` (path ``"lu+shift"``).
+    The scheme is monotone, so ``A`` is an M-matrix, and it is solved by
+    Jacobi-preconditioned BiCGSTAB to ``|A x - b| <= rtol * |b|``.  Returns
+    ``(x, iterations, failure)``: ``iterations`` counts the BiCGSTAB
+    iterations, also when it fails, and ``failure`` is empty, or names the
+    cause when there is no step ``x``: a zero or non-finite diagonal entry,
+    a breakdown, the iteration cap, or a non-finite solution.
     """
     diag = A.diagonal()
-    iterations = applied = 0
-    if np.all(np.isfinite(diag)) and np.all(diag != 0.0):
-        inv_diag = 1.0 / diag
+    if not np.all(np.isfinite(diag) & (diag != 0.0)):
+        return None, 0, "BiCGSTAB cannot run: the Jacobian has a zero or non-finite diagonal entry"
+    inv_diag = 1.0 / diag
+    applied = 0
 
-        def jacobi(v):
-            nonlocal applied
-            applied += 1
-            return inv_diag * v
+    def jacobi(v):
+        nonlocal applied
+        applied += 1
+        return inv_diag * v
 
-        # with its dtype given, scipy does not call jacobi once more to infer it
-        x, info = spla.bicgstab(A, b, rtol=rtol, atol=0.0, maxiter=BICGSTAB_MAXITER,
-                                M=spla.LinearOperator(A.shape, matvec=jacobi, dtype=A.dtype))
-        # two preconditioner applications per iteration, one if it stops halfway
-        iterations = (applied + 1) // 2
-        if info == 0 and np.all(np.isfinite(x)):
-            return x, "bicgstab", iterations
-
-    for path in ("lu", "lu+shift"):
-        if path == "lu+shift":
-            A = A + 1e-10 * spla.norm(A, np.inf) * sp.identity(A.shape[0], format="csr")
-        cause = None
-        try:
-            x = spla.splu(A.tocsc()).solve(b)
-            if np.all(np.isfinite(x)):
-                return x, path, iterations
-        except RuntimeError as exc:
-            cause = exc
-    raise RuntimeError("Newton Jacobian is singular even after diagonal perturbation") from cause
+    # with its dtype given, scipy does not call jacobi once more to infer it
+    x, info = spla.bicgstab(A, b, rtol=rtol, atol=0.0, maxiter=BICGSTAB_MAXITER,
+                            M=spla.LinearOperator(A.shape, matvec=jacobi, dtype=A.dtype))
+    # two preconditioner applications per iteration, one if it stops halfway
+    iterations = (applied + 1) // 2
+    if info == 0 and np.all(np.isfinite(x)):
+        return x, iterations, ""
+    cause = (f"did not reach rtol = {rtol:.3e} within its cap of {info} iterations" if info > 0
+             else f"broke down (scipy info {info})" if info < 0 else "returned a non-finite step")
+    return None, iterations, f"BiCGSTAB {cause}"
 
 
 def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
@@ -198,8 +186,9 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
     interior unknowns.  Each step's linear solve stops at the
     Eisenstat-Walker forcing term (see ``_forcing_term``); the stopping
     test is on the true residual.  Returns ``(u, report)``.
-    ``report.converged`` is False when the iteration budget runs out or the
-    line search stalls at ``ALPHA_MIN`` without decreasing the residual;
+    ``report.converged`` is False when the iteration budget runs out, a
+    linear solve fails (``report.message`` names BiCGSTAB and the cause), or
+    the line search stalls at ``ALPHA_MIN`` without decreasing the residual;
     the recorded residual history is strictly decreasing across accepted
     steps by construction.  Each accepted step logs one DEBUG record on the
     ``quadma.solver`` logger.  A non-finite ``u0``, ``f`` or ``g`` is a ValueError.
@@ -220,10 +209,12 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
     while rnorm >= threshold and report.iterations < cfg.max_iterations:
         eta = _forcing_term(report.residual_history)
         A = assemble_jacobian(grid, u, params)
-        step, path, krylov_its = _solve_linear(A, -res[:ni], eta)
-        report.linear_solves.append(path)
+        step, krylov_its, failure = _solve_linear(A, -res[:ni], eta)
         report.linear_iterations.append(krylov_its)
         report.forcing.append(eta)
+        if failure:
+            report.message = f"linear solve failed: {failure}"
+            break
 
         alpha = 1.0
         while alpha >= ALPHA_MIN:
@@ -243,8 +234,8 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
         report.iterations += 1
         report.alpha_history.append(alpha)
         report.residual_history.append(rnorm)
-        log.debug("iter %d: residual=%.6e, alpha=%.6e, linear_solve=%s, krylov_its=%d, eta=%.3e",
-                  report.iterations, rnorm, alpha, path, krylov_its, eta)
+        log.debug("iter %d: residual=%.6e, alpha=%.6e, krylov_its=%d, eta=%.3e",
+                  report.iterations, rnorm, alpha, krylov_its, eta)
 
     report.final_residual = rnorm
     report.converged = rnorm < threshold

@@ -47,7 +47,7 @@ def test_newton_reaches_its_layers_through_the_solver_namespace(monkeypatch):
         monkeypatch.setattr(solver, name, counted)
     _, _, report, _ = solve_problem(ex1(), "hex", 16)
     assert report.converged
-    assert calls["assemble_jacobian"] == len(report.linear_solves) == report.iterations
+    assert calls["assemble_jacobian"] == len(report.linear_iterations) == report.iterations
     # one residual at the start, then one per line-search trial (alpha halves)
     trials = sum(1 + round(-math.log2(alpha)) for alpha in report.alpha_history)
     assert calls["scheme_apply"] == 1 + trials

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import quadma.benchmarks as bm
-from quadma import (BENCHMARKS, convergence_study, ex1, ex2, ex3, ex4, fit_order,
-                    max_error, solve_problem)
+from quadma import (BENCHMARKS, NewtonConfig, SolveReport, convergence_study, ex1, ex2, ex3,
+                    ex4, fit_order, max_error, solve_problem)
 
 
 def val(func, x, y):
@@ -145,7 +145,7 @@ def test_study_with_exact_stub(monkeypatch):
     def fake_solve(problem, backend, n, **kw):
         grid = bm.build_grid(problem.domain, backend, n)
         values = problem.u_exact(grid.points)
-        report = type("Report", (), {"iterations": 0, "converged": True})()
+        report = SolveReport(converged=True, iterations=0, final_residual=0.0)
         return grid, values, report, None
 
     monkeypatch.setattr(bm, "solve_problem", fake_solve)
@@ -168,6 +168,15 @@ def test_study_records_failed_rows(monkeypatch):
     assert not result.rows[1].converged
     assert "synthetic failure" in result.rows[1].message
     assert result.rows[0].converged and result.rows[2].converged
+
+
+def test_study_keeps_the_message_of_a_row_that_did_not_converge():
+    # a budget of one Newton step fails both rows; converged rows say nothing
+    cfg = NewtonConfig(max_iterations=1)
+    failed = bm.convergence_study(ex1(), "hex", [12, 16], cfg=cfg)
+    assert [(row.converged, row.message) for row in failed.rows] == [
+        (False, "iteration budget exhausted (1)")] * 2
+    assert [row.message for row in bm.convergence_study(ex1(), "hex", [12, 16]).rows] == ["", ""]
 
 
 def test_study_requires_increasing_sizes():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from quadma import build_grid, default_params, ex2, grid_diagnostics
-from quadma import cli
+from quadma import cli, solver
 from quadma.cli import CSV_HEADER, _build_parser, _parse_args, main
 
 
@@ -67,11 +67,10 @@ def test_solve_writes_solution_json(tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["problem"] == "ex2"
-    assert data["report"]["converged"] is True
-    assert data["report"]["linear_solves"] == ["bicgstab"] * data["report"]["iterations"]
+    assert data["report"]["converged"] is True and data["report"]["message"] == ""
     assert list(data["report"]) == [
         "converged", "iterations", "final_residual", "alpha_history", "residual_history",
-        "message", "linear_solves", "linear_iterations", "forcing"]
+        "message", "linear_iterations", "forcing"]
     assert len(data["report"]["linear_iterations"]) == len(data["report"]["forcing"]) \
         == data["report"]["iterations"]
     assert len(data["values"]) == len(data["points"]) == len(data["interior"])
@@ -86,11 +85,44 @@ def test_solve_writes_solution_json(tmp_path):
     assert data["diagnostics"]["boundary_points"] == len(data["interior"]) - sum(data["interior"])
 
 
-def test_solve_exit_code_on_failure(tmp_path):
+def test_solve_exit_code_on_failure(capsys):
     # an unreachable residual budget: one iteration cannot reach h^2
     code = main(["solve", "--problem", "ex1", "--backend", "cartesian", "--n", "16",
                  "--max-iterations", "1"])
     assert code == 1
+    out, err = capsys.readouterr()
+    assert "converged=False" in out
+    assert err == "quadma: solver error: iteration budget exhausted (1)\n"
+
+
+def test_failed_linear_solve_exits_1_with_its_cause(monkeypatch, capsys, tmp_path):
+    # a BiCGSTAB capped at one iteration fails the first Newton step: the
+    # solve still writes its report, then names the cause, with no traceback
+    monkeypatch.setattr(solver, "BICGSTAB_MAXITER", 1)
+    out = tmp_path / "sol.json"
+    code = main(["solve", "--problem", "ex2", "--backend", "hex", "--n", "16",
+                 "--output", str(out)])
+    assert code == 1
+    message = ("linear solve failed: BiCGSTAB did not reach rtol = 1.000e-01 "
+               "within its cap of 1 iterations")
+    assert capsys.readouterr().err == f"quadma: solver error: {message}\n"
+    report = json.loads(out.read_text())["report"]
+    assert report["converged"] is False and report["message"] == message
+
+
+def test_study_names_each_failed_row(tmp_path, capsys):
+    # the rows' messages reach standard error, with their sizes; standard
+    # output, the CSV and the exit code are those of any failed study
+    path = tmp_path / "study.json"
+    code = main(["study", "--problem", "ex1", "--backend", "hex", "--n", "12,16",
+                 "--max-iterations", "1", "--output-json", str(path)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(CSV_HEADER + "\n") and "# fitted order" in out
+    assert err == "".join(f"quadma: solver error: n={n}: iteration budget exhausted (1)\n"
+                          for n in (12, 16))
+    rows = json.loads(path.read_text())["rows"]
+    assert [row["message"] for row in rows] == ["iteration budget exhausted (1)"] * 2
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -123,8 +123,8 @@ def _mid_newton_system(backend, n, K=None):
 @pytest.mark.parametrize("backend,n,K", [("cartesian", 40, 5), ("hex", 32, None)])
 def test_solve_linear_krylov_matches_lu(backend, n, K):
     A, b = _mid_newton_system(backend, n, K)
-    y, path, _ = _solve_linear(A, b, 1e-8)
-    assert path == "bicgstab"
+    y, _, failure = _solve_linear(A, b, 1e-8)
+    assert failure == ""
     y_lu = spla.splu(A.tocsc()).solve(b)
     assert np.linalg.norm(y - y_lu) <= 1e-7 * np.linalg.norm(y_lu)
 
@@ -148,30 +148,41 @@ def test_solve_linear_counts_scipy_bicgstab_iterations(backend, n):
                                 callback=lambda xk: iterates.append(xk.copy()))
         assert info == 0
         halfway = not np.array_equal(x, iterates[-1])
-        y, path, iterations = _solve_linear(A, b, rtol)
-        assert path == "bicgstab" and np.array_equal(y, x)
+        y, iterations, failure = _solve_linear(A, b, rtol)
+        assert failure == "" and np.array_equal(y, x)
         assert iterations == len(iterates) - 1 + halfway
 
 
-def test_solve_linear_zero_row_falls_back_to_shifted_lu():
-    A, b = _mid_newton_system("hex", 16)
-    A = A.tolil()
+def _zero_first_row(*args):
+    A = assemble_jacobian(*args).tolil()
     A[0, :] = 0.0  # zero diagonal, singular matrix
-    y, path, iterations = _solve_linear(A.tocsr(), b, 1e-8)
-    assert path == "lu+shift"
-    assert iterations == 0  # a zero diagonal skips BiCGSTAB
-    assert np.all(np.isfinite(y))
+    return A.tocsr()
 
 
-def test_solve_linear_failed_krylov_falls_back_to_plain_lu(monkeypatch):
-    # a BiCGSTAB that stops short of rtol on a nonsingular Jacobian takes
-    # the unshifted LU, and the count keeps the iteration it spent
-    monkeypatch.setattr(solver, "BICGSTAB_MAXITER", 1)
-    A, b = _mid_newton_system("hex", 16)
-    y, path, iterations = _solve_linear(A, b, 1e-12)
-    assert path == "lu"
-    assert iterations == 1
-    assert np.array_equal(y, spla.splu(A.tocsc()).solve(b))
+@pytest.mark.parametrize("fault, iterations, cause", [
+    ("zero-row", 0, "BiCGSTAB cannot run: the Jacobian has a zero or non-finite diagonal entry"),
+    ("iteration-cap", 1, "BiCGSTAB did not reach rtol = 1.000e-01 within its cap of 1 iterations"),
+], ids=["zero-row", "iteration-cap"])
+def test_failed_linear_solve_fails_the_newton_solve(monkeypatch, fault, iterations, cause):
+    # a zero diagonal leaves no Jacobi preconditioner, and one iteration
+    # cannot reach the first step's forcing term: either ends the solve as a
+    # failure with its cause, and the failed step keeps its linear entries
+    if fault == "zero-row":
+        monkeypatch.setattr(solver, "assemble_jacobian", _zero_first_row)
+    else:
+        monkeypatch.setattr(solver, "BICGSTAB_MAXITER", 1)
+    prob = ex1()
+    grid = build_grid(prob.domain, "hex", 16)
+    params = default_params(grid)
+    u0 = poisson_init(grid, prob.f, prob.g)
+    u, report = damped_newton(grid, params, prob.f, prob.g, u0)
+    assert report.converged is False
+    assert report.message == f"linear solve failed: {cause}"
+    assert report.iterations == 0 and report.alpha_history == []
+    assert report.residual_history == [report.final_residual]
+    assert report.linear_iterations == [iterations]
+    assert report.forcing == [0.1]
+    assert np.array_equal(u, u0)
 
 
 @pytest.mark.parametrize("make, iterations, alphas, error", [
@@ -184,7 +195,7 @@ def test_newton_history_cartesian_n72_k5(make, iterations, alphas, error):
     assert report.converged
     assert report.iterations == iterations
     assert report.alpha_history == alphas
-    assert report.linear_solves == ["bicgstab"] * iterations
+    assert len(report.linear_iterations) == iterations
     assert float(f"{max_error(grid, values, prob):.4e}") == error
 
 
@@ -215,8 +226,8 @@ def test_newton_keeps_boundary_exactly_g(backend, n, start):
 def _progress_lines(report):
     """The progress line of each accepted Newton step of ``report``."""
     return [f"iter {i + 1}: residual={report.residual_history[i + 1]:.6e}, "
-            f"alpha={report.alpha_history[i]:.6e}, linear_solve={report.linear_solves[i]}, "
-            f"krylov_its={report.linear_iterations[i]}, eta={report.forcing[i]:.3e}"
+            f"alpha={report.alpha_history[i]:.6e}, krylov_its={report.linear_iterations[i]}, "
+            f"eta={report.forcing[i]:.3e}"
             for i in range(report.iterations)]
 
 
@@ -273,14 +284,14 @@ def test_line_search_stall_report(monkeypatch):
         return scheme_apply(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_solve_linear",
-                        lambda A, b, rtol: (np.zeros_like(b), "bicgstab", 0))
+                        lambda A, b, rtol: (np.zeros_like(b), 0, ""))
     monkeypatch.setattr(solver, "scheme_apply", counted)
     _, report = damped_newton(grid, params, prob.f, prob.g, u0)
     assert report.converged is False
     assert report.iterations == 0
     assert report.message.startswith("line search stalled")
     assert report.final_residual == report.residual_history[-1]
-    assert report.linear_solves == ["bicgstab"]
+    assert report.linear_iterations == [0]
     assert report.alpha_history == []
     assert len(calls) == 22
 
@@ -475,9 +486,9 @@ def test_inexact_steps_meet_their_forcing_terms(monkeypatch, make, backend, n):
     steps = []
 
     def recorded(A, b, rtol):
-        y, path, iterations = _solve_linear(A, b, rtol)
-        steps.append((A, b, rtol, y, path))
-        return y, path, iterations
+        y, iterations, failure = _solve_linear(A, b, rtol)
+        steps.append((A, b, rtol, y, failure))
+        return y, iterations, failure
 
     monkeypatch.setattr(solver, "_solve_linear", recorded)
     prob = make()
@@ -487,8 +498,8 @@ def test_inexact_steps_meet_their_forcing_terms(monkeypatch, make, backend, n):
     assert len(report.linear_iterations) == len(steps) == report.iterations
     assert all(1e-8 <= eta <= 0.1 for eta in report.forcing)
     assert report.forcing[0] == 0.1
-    for A, b, eta, y, path in steps:
-        assert path == "bicgstab"
+    for A, b, eta, y, failure in steps:
+        assert failure == ""
         assert np.linalg.norm(A @ y - b) <= eta * np.linalg.norm(b)
     residual = np.abs(scheme_apply(grid, values, params, prob.f, prob.g)).max()
     assert residual < grid.h ** 2
