@@ -52,6 +52,8 @@ class AngularDiscretization:
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         if angles.ndim != 1 or len(angles) == 0:
             raise ValueError("need a nonempty 1-d array of angles")
+        if not np.all(np.isfinite(angles)):
+            raise ValueError("angles must be finite")
         if angles[0] < 0.0 or angles[-1] >= np.pi:
             raise ValueError("angles must lie in [0, pi)")
         if len(angles) > 1 and not np.all(np.diff(angles) > 0.0):

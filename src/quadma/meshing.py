@@ -140,25 +140,24 @@ class Grid:
         """The stencil rows' CSR block over the interior columns, or the boundary ones.
 
         It holds the entries of the stencil table ``[plus_index | minus_index
-        | self]`` in those columns, along the angles that an ``(M+1,)`` mask
-        ``angles`` marks, if given.  Each datum is the entry's slot in
-        ``operator._stencil_data``; scipy's ``sort_indices`` sorts the columns.
+        | self]``, shape ``(Ni, 2(M+1)+1)``, in those columns, along the angles
+        that an ``(M+1,)`` mask ``angles`` marks, if given.  Each datum is the
+        entry's flat position in the table, so a table of values in the same
+        layout fills the block; scipy's ``sort_indices`` sorts the columns.
         The arrays are read-only, the indices int32 (scipy's pick), so that
         matrices filled from the block share them.
         """
-        ni, m = self.plus_index.shape
+        ni = self.n_interior
         cols = np.hstack([self.plus_index, self.minus_index, np.arange(ni)[:, None]],
                          dtype=np.int32)
         keep = cols >= ni if boundary else cols < ni
         if angles is not None:
             keep &= np.concatenate([angles, angles, [True]])
-        arm = np.arange(ni * m).reshape(ni, m)
-        slots = np.hstack([arm, ni * m + arm, 2 * ni * m + np.arange(ni)[:, None]])
         indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))]).astype(np.int32)
         indices = cols[keep]
         if boundary:
             indices -= ni
-        block = sp.csr_matrix((slots[keep], indices, indptr),
+        block = sp.csr_matrix((np.flatnonzero(keep), indices, indptr),
                               shape=(ni, self.n_points - ni if boundary else ni))
         block.sort_indices()
         for array in (block.indptr, block.indices, block.data):

@@ -77,27 +77,29 @@ def _evaluate(func, pts: np.ndarray) -> np.ndarray:
 
 
 def sdd_matrix(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """All second directional differences, shape ``(n_interior, n_angles)``."""
+    """All second directional differences, shape ``(n_interior, n_angles)``, of a
+    grid function ``u`` of shape ``(n_points,)`` (another shape is a ValueError)."""
     u = np.asarray(u, dtype=float)
+    if u.shape != (grid.n_points,):
+        raise ValueError(f"expected a grid function of shape ({grid.n_points},), got {u.shape}")
     uc = u[: grid.n_interior, None]
     return grid.cp * (u[grid.plus_index] - uc) + grid.cm * (u[grid.minus_index] - uc)
 
 
 def _stencil_data(grid: Grid, G: np.ndarray) -> np.ndarray:
-    """Entries ``concat((G*cp).ravel(), (G*cm).ravel(), diagonal)`` of the
-    rows ``sum_j G[:, j] * D_j``, which the grid's stencil blocks gather."""
-    return np.concatenate([(G * grid.cp).ravel(), (G * grid.cm).ravel(),
-                           -(G * (grid.cp + grid.cm)).sum(axis=1)])
+    """Entries of the rows ``sum_j G[:, j] * D_j`` as the stencil table
+    ``[G*cp | G*cm | diagonal]``, raveled, which the grid's blocks index."""
+    ni, m = grid.cp.shape
+    table = np.empty((ni, 2 * m + 1))
+    np.multiply(G, grid.cp, out=table[:, :m])
+    np.multiply(G, grid.cm, out=table[:, m:-1])
+    table[:, -1] = -(G * (grid.cp + grid.cm)).sum(axis=1)
+    return table.ravel()
 
 
 def _fill(block: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
-    """A stencil block with its slots' entries of ``data``, sharing its indices."""
+    """A stencil block filled from its table positions in ``data``, sharing its indices."""
     return sp.csr_matrix((data[block.data], block.indices, block.indptr), shape=block.shape)
-
-
-def _interior_block(grid: Grid, data: np.ndarray) -> sp.csr_matrix:
-    """The interior block of the stencil rows, on the grid's pattern."""
-    return _fill(grid.stencil_pattern, data)
 
 
 def _laplacian_coefficients(grid: Grid) -> np.ndarray:
@@ -138,7 +140,8 @@ def _branches(grid: Grid, u: np.ndarray, params: SchemeParams):
     """``(D, max(D, eps), S)`` at ``u``, ``S = 1/pi * sum_j w_j / max(D_j, eps)``:
     the branches that the residual and the Jacobian both read.  A rule for
     another angle set is a ValueError."""
-    if len(params.quadrature) != len(grid.angles):
+    angles = params.quadrature.discretization
+    if angles is not grid.angles and not np.array_equal(angles.angles, grid.angles.angles):
         raise ValueError("quadrature rule does not match the grid's angle set")
     D = sdd_matrix(grid, u)
     Dmax = np.maximum(D, params.epsilon)
@@ -195,4 +198,4 @@ def assemble_jacobian(grid: Grid, u: np.ndarray, params: SchemeParams) -> sp.csr
     read-only ``stencil_pattern``: copy the matrix before changing its
     structure in place (``eliminate_zeros``, say).
     """
-    return _interior_block(grid, _stencil_data(grid, _jacobian_coefficients(grid, u, params)))
+    return _fill(grid.stencil_pattern, _stencil_data(grid, _jacobian_coefficients(grid, u, params)))

@@ -35,6 +35,8 @@ class QuadratureRule:
         w = np.asarray(self.weights, dtype=float)
         if len(w) != len(self.discretization):
             raise ValueError("one weight per angle required")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("quadrature weights must be finite")
         if np.any(w < 0.0):
             raise ValueError("quadrature weights must be nonnegative")
         if abs(w.sum() - np.pi) > 1e-10:

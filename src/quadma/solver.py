@@ -191,9 +191,12 @@ def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,
     the line search stalls at ``ALPHA_MIN`` without decreasing the residual;
     the recorded residual history is strictly decreasing across accepted
     steps by construction.  Each accepted step logs one DEBUG record on the
-    ``quadma.solver`` logger.  A non-finite ``u0``, ``f`` or ``g`` is a ValueError.
+    ``quadma.solver`` logger.  A ``u0`` of a shape other than ``(n_points,)``
+    and a non-finite ``u0``, ``f`` or ``g`` are ValueErrors.
     """
     u = np.array(u0, dtype=float)
+    if u.shape != (grid.n_points,):
+        raise ValueError(f"expected an initial guess of shape ({grid.n_points},), got {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("initial guess must be finite")
     ni = grid.n_interior

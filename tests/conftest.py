@@ -1,14 +1,7 @@
-import pathlib
-import sys
-
 import numpy as np
 import pytest
 
-src = pathlib.Path(__file__).resolve().parents[1] / "src"
-if str(src) not in sys.path:
-    sys.path.insert(0, str(src))
-
-from quadma import build_grid, default_params, square  # noqa: E402
+from quadma import build_grid, default_params, square
 
 
 @pytest.fixture(scope="session")

@@ -86,6 +86,8 @@ def test_validation_errors():
         AngularDiscretization([0.0, np.pi])  # out of range
     with pytest.raises(ValueError):
         AngularDiscretization([-0.1, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        AngularDiscretization([np.nan])
     with pytest.raises(ValueError):
         uniform_angles(0)
 

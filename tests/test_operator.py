@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import regularized_det_reference, stencil_matrix_reference
-from quadma import (SchemeParams, assemble_jacobian, default_params, hex_angles, l1_angles,
-                    scheme_apply, sdd_matrix, simpson_weights, trapezoid_weights, uniform_angles)
+from quadma import (SchemeParams, assemble_jacobian, build_grid, damped_newton, default_params,
+                    hex_angles, l1_angles, scheme_apply, sdd_matrix, simpson_weights,
+                    trapezoid_weights, uniform_angles)
 from quadma.operator import _jacobian_coefficients
 
 
@@ -95,13 +96,39 @@ def test_scheme_params_validation(cart_grid):
 
 
 @pytest.mark.parametrize("backend", ["cartesian", "hex"])
-def test_jacobian_rejects_a_rule_for_another_angle_set(both_grids, backend):
-    # the residual's check, not numpy's shape error in the quadrature sum
+def test_jacobian_rejects_a_rule_for_another_angle_set(both_grids, unit_square, backend):
+    # the residual's check, not numpy's shape error in the quadrature sum;
+    # the second case is another set of the grid's size (6 angles)
     grid = both_grids[backend]
-    other = hex_angles() if backend == "cartesian" else l1_angles(2)
-    mismatched = SchemeParams(1e-3, trapezoid_weights(other))
-    with pytest.raises(ValueError, match="quadrature rule does not match the grid's angle set"):
-        assemble_jacobian(grid, np.zeros(grid.n_points), mismatched)
+    if backend == "cartesian":
+        k3_grid = build_grid(unit_square, "cartesian", 16, K=3)
+        cases = [(grid, hex_angles()), (k3_grid, hex_angles())]
+    else:
+        cases = [(grid, l1_angles(2)), (grid, l1_angles(3))]
+    for g, other in cases:
+        mismatched = SchemeParams(1e-3, trapezoid_weights(other))
+        u = np.zeros(g.n_points)
+        with pytest.raises(ValueError, match="quadrature rule does not match the grid's angle set"):
+            assemble_jacobian(g, u, mismatched)
+        with pytest.raises(ValueError, match="quadrature rule does not match the grid's angle set"):
+            scheme_apply(g, u, mismatched, 0.0, 0.0)
+    # a rule on an equal set, built anew, is the grid's own
+    rebuilt = l1_angles(2) if backend == "cartesian" else hex_angles()
+    assert rebuilt is not grid.angles
+    assemble_jacobian(grid, np.zeros(grid.n_points), SchemeParams(1e-3, trapezoid_weights(rebuilt)))
+
+
+@pytest.mark.parametrize("extra", [-1, 5])
+def test_grid_functions_of_the_wrong_length_are_rejected(cart_grid, extra):
+    grid = cart_grid
+    params = default_params(grid)
+    u = np.zeros(grid.n_points + extra)
+    expected = rf"shape \({grid.n_points},\)"
+    for evaluate in (lambda: sdd_matrix(grid, u), lambda: scheme_apply(grid, u, params, 0.0, 0.0),
+                     lambda: assemble_jacobian(grid, u, params),
+                     lambda: damped_newton(grid, params, 0.0, 0.0, u)):
+        with pytest.raises(ValueError, match=expected):
+            evaluate()
 
 
 def test_default_epsilon(cart_grid, hex_grid):

@@ -75,6 +75,8 @@ def test_rule_validation():
         QuadratureRule(d, [-0.1, 1.0, 1.0, np.pi - 1.9])  # negative
     with pytest.raises(ValueError):
         QuadratureRule(d, [1.0, 1.0, 1.0, 1.0])  # wrong sum
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureRule(uniform_angles(2), [np.nan, np.pi])
 
 
 def test_integrate_constant_gives_pi():

@@ -3,7 +3,7 @@
 The scheme is monotone, so the interior rows of its Jacobian have
 nonpositive off-diagonals and zero row sums (the interior block is an
 M-matrix).  The Poisson Laplacian has the mirror-image signs.  Both are
-blocks of one stencil table, filled from one stencil data layout: the
+blocks of one stencil table, filled from a table of entries in its layout: the
 Jacobian on the interior pattern each grid computes once, the Laplacian on
 its own blocks, whose interior one leaves out the angles of zero weight.
 These properties pin those blocks against a whole-grid COO reference, pin
@@ -11,6 +11,8 @@ their sign structure on squares, rectangles and discs of random placement
 and size, and check that the Krylov solve of the Newton step, which relies
 on it, meets its tolerance there.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from oracles import stencil_matrix_reference
 from quadma import assemble_jacobian, build_grid, default_params, disc, rectangle, square
-from quadma.operator import (_interior_block, _jacobian_coefficients, _laplacian_coefficients,
+from quadma.operator import (_fill, _jacobian_coefficients, _laplacian_coefficients,
                              _laplacian_system, _stencil_data)
 from quadma.solver import _solve_linear
 
@@ -81,7 +83,7 @@ def test_stencil_blocks_match_whole_grid_reference(grid, seed, zeros, laplacian)
         G = -rng.exponential(size=grid.cp.shape)
         G[rng.random(G.shape) < zeros] = 0.0
     assert "stencil_pattern" not in vars(grid)
-    A = _interior_block(grid, _stencil_data(grid, G))
+    A = _fill(grid.stencil_pattern, _stencil_data(grid, G))
     ni = grid.n_interior
     ref = stencil_matrix_reference(grid, G).tocsr()
     ref.sum_duplicates()
@@ -94,7 +96,7 @@ def test_stencil_blocks_match_whole_grid_reference(grid, seed, zeros, laplacian)
         assert _same_csr(lap_A, ref_A)
         assert _same_csr(lap_B, ref_B)
     # a second assembly refills the data of the same pattern
-    A2 = _interior_block(grid, _stencil_data(grid, 2.0 * G))
+    A2 = _fill(grid.stencil_pattern, _stencil_data(grid, 2.0 * G))
     for name in ("indptr", "indices"):
         assert np.shares_memory(getattr(A, name), getattr(A2, name))
         assert not getattr(A, name).flags.writeable
@@ -113,6 +115,20 @@ def test_laplacian_is_built_without_the_newton_pattern(backend):
         assert array.dtype == np.int32
         assert not array.flags.writeable
     assert grid.stencil_pattern is pattern
+
+
+@pytest.mark.parametrize("backend", ["cartesian", "hex"])
+def test_pattern_build_holds_no_table_of_slots(unit_square, backend):
+    # an int64 array of the stencil table's shape would lift the peak past
+    # twice the pattern's own bytes
+    grid = build_grid(unit_square, backend, 64)
+    tracemalloc.start()
+    try:
+        pattern = grid.stencil_pattern
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sum(a.nbytes for a in (pattern.data, pattern.indices, pattern.indptr))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
