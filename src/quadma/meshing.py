@@ -140,24 +140,27 @@ class Grid:
         """The stencil rows' CSR block over the interior columns, or the boundary ones.
 
         It holds the entries of the stencil table ``[plus_index | minus_index
-        | self]``, shape ``(Ni, 2(M+1)+1)``, in those columns, along the angles
-        that an ``(M+1,)`` mask ``angles`` marks, if given.  Each datum is the
-        entry's flat position in the table, so a table of values in the same
-        layout fills the block; scipy's ``sort_indices`` sorts the columns.
-        The arrays are read-only, the indices int32 (scipy's pick), so that
-        matrices filled from the block share them.
+        | self]``, shape ``(Ni, 2(M+1)+1)``, in those columns; with an
+        ``(M+1,)`` angle mask ``angles``, the table spans only the angles it
+        marks.  Each datum is the entry's flat position in the table, so a
+        table of values in the same layout fills the block; scipy's
+        ``sort_indices`` sorts the columns.  The arrays are read-only, the
+        indices int32 (scipy's pick), so that matrices filled from the block
+        share them.
         """
         ni = self.n_interior
-        cols = np.hstack([self.plus_index, self.minus_index, np.arange(ni)[:, None]],
-                         dtype=np.int32)
-        keep = cols >= ni if boundary else cols < ni
+        plus, minus = self.plus_index, self.minus_index
         if angles is not None:
-            keep &= np.concatenate([angles, angles, [True]])
-        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))]).astype(np.int32)
+            plus, minus = plus[:, angles], minus[:, angles]
+        cols = np.hstack([plus, minus, np.arange(ni)[:, None]], dtype=np.int32)
+        keep = cols >= ni if boundary else cols < ni
+        positions = np.flatnonzero(keep)
+        # row i's entries are the positions below (i + 1) * width
+        indptr = np.searchsorted(positions, np.arange(ni + 1) * cols.shape[1]).astype(np.int32)
         indices = cols[keep]
         if boundary:
             indices -= ni
-        block = sp.csr_matrix((np.flatnonzero(keep), indices, indptr),
+        block = sp.csr_matrix((positions, indices, indptr),
                               shape=(ni, self.n_points - ni if boundary else ni))
         block.sort_indices()
         for array in (block.indptr, block.indices, block.data):

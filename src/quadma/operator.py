@@ -73,7 +73,8 @@ def _evaluate(func, pts: np.ndarray) -> np.ndarray:
     through unchanged.
     """
     vals = np.asarray(func(pts) if callable(func) else func, dtype=float)
-    return np.broadcast_to(vals, (len(pts),))
+    # values of the right shape, which a Newton solve passes to every residual, need no view
+    return vals if vals.shape == (len(pts),) else np.broadcast_to(vals, (len(pts),))
 
 
 def sdd_matrix(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -82,19 +83,88 @@ def sdd_matrix(grid: Grid, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n_points,):
         raise ValueError(f"expected a grid function of shape ({grid.n_points},), got {u.shape}")
-    uc = u[: grid.n_interior, None]
-    return grid.cp * (u[grid.plus_index] - uc) + grid.cm * (u[grid.minus_index] - uc)
+    # the center values repeated along each row, so that every pass below
+    # runs over whole contiguous arrays, not row by row
+    uc = np.repeat(u[: grid.n_interior], grid.cp.shape[1]).reshape(grid.cp.shape)
+    D = u.take(grid.plus_index)
+    D -= uc
+    D *= grid.cp
+    minus = u.take(grid.minus_index)
+    minus -= uc
+    minus *= grid.cm
+    D += minus
+    return D
 
 
-def _stencil_data(grid: Grid, G: np.ndarray) -> np.ndarray:
-    """Entries of the rows ``sum_j G[:, j] * D_j`` as the stencil table
-    ``[G*cp | G*cm | diagonal]``, raveled, which the grid's blocks index."""
-    ni, m = grid.cp.shape
+def _stencil_data(grid: Grid, G: np.ndarray, angles=None) -> np.ndarray:
+    """Entries of the rows ``sum_j G[..., j] * D_j`` as the stencil table
+    ``[G*cp | G*cm | diagonal]``, raveled, which the grid's blocks index.
+
+    With an angle mask ``angles``, the table spans only the angles it marks,
+    as do the blocks that ``Grid._stencil_block`` builds with that mask.
+    """
+    cp, cm = grid.cp, grid.cm
+    if angles is not None:
+        cp, cm, G = cp[:, angles], cm[:, angles], G[..., angles]
+    ni, m = cp.shape
     table = np.empty((ni, 2 * m + 1))
-    np.multiply(G, grid.cp, out=table[:, :m])
-    np.multiply(G, grid.cm, out=table[:, m:-1])
-    table[:, -1] = -(G * (grid.cp + grid.cm)).sum(axis=1)
+    np.multiply(G, cp, out=table[:, :m])
+    np.multiply(G, cm, out=table[:, m:-1])
+    np.negative(_row_sum(G * (cp + cm)), out=table[:, -1])
     return table.ravel()
+
+
+def _row_min(D: np.ndarray) -> np.ndarray:
+    """``D.min(axis=1)`` bit for bit, for a 2-D ``D`` without NaN, in passes over its columns.
+
+    numpy reduces every short row on its own, at a cost per row many times
+    that of a pass over a column.  A row's minimum has one value, but where
+    it is zero, whether numpy returns 0.0 or -0.0 depends on its reduction
+    order, which depends on the machine's SIMD width; so the few rows with
+    a zero minimum are left to numpy.
+    """
+    low = D[:, 0].copy()
+    for column in D.T[1:]:
+        np.minimum(low, column, out=low)
+    zero = np.flatnonzero(low == 0.0)
+    if zero.size:
+        low[zero] = D[zero].min(axis=1)
+    return low
+
+
+def _row_sum(T: np.ndarray) -> np.ndarray:
+    """``T.sum(axis=1)`` bit for bit, for a 2-D ``T``, in passes over its columns.
+
+    numpy adds each row pairwise (``pairwise_sum`` in its loops) to its
+    identity 0.0: rows of fewer than 8 terms one by one; up to 128 terms in
+    8 accumulators, every eighth term into each, added as a tree, then the
+    rest one by one; longer rows as the sums of two halves, split at a
+    multiple of 8.
+    """
+    total = np.zeros(len(T))
+    total += _pairwise_sum(T)
+    return total
+
+
+def _pairwise_sum(T: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of every row of ``T`` (see ``_row_sum``)."""
+    m = T.shape[1]
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _pairwise_sum(T[:, :half]) + _pairwise_sum(T[:, half:])
+    if m < 8:
+        total, rest = T[:, 0].copy(), T.T[1:]
+    else:
+        tail = m - m % 8
+        acc = T[:, :8].T.copy()
+        for start in range(8, tail, 8):
+            acc += T[:, start:start + 8].T
+        while len(acc) > 1:
+            acc = acc[0::2] + acc[1::2]
+        total, rest = acc[0], T.T[tail:]
+    for column in rest:
+        total += column
+    return total
 
 
 def _fill(block: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
@@ -124,14 +194,15 @@ def _laplacian_system(grid: Grid) -> tuple[sp.csc_matrix, sp.csr_matrix]:
     """Discrete Laplacian at the interior nodes, split into ``(A, B)``.
 
     The rows applied to a grid function ``v`` are ``A @ v[:ni] + B @ v[ni:]``.
-    Both are blocks of the grid's stencil table, filled as the Jacobian is,
-    along the angles of nonzero weight only, so they store no zeros (which
-    slow the factorization many times over) and need no Newton pattern.
+    Both are blocks of the stencil table of the angles of nonzero weight
+    only (two of ``2K`` on Cartesian grids), filled as the Jacobian is, so
+    they store no zeros (which slow the factorization many times over) and
+    need no Newton pattern.
     ``A`` is CSC, for a direct solve; ``B`` reads the boundary values.
     """
     lam = _laplacian_coefficients(grid)
-    data = _stencil_data(grid, lam)
     angles = lam != 0.0
+    data = _stencil_data(grid, lam, angles)
     A = _fill(grid._stencil_block(angles=angles), data).tocsc()
     return A, _fill(grid._stencil_block(boundary=True, angles=angles), data)
 
@@ -159,7 +230,7 @@ def scheme_apply(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> np.nd
     """
     u = np.asarray(u, dtype=float)
     D, _, S = _branches(grid, u, params)
-    interior_vals = -S ** -2.0 - np.minimum(D.min(axis=1), params.epsilon)
+    interior_vals = -S ** -2.0 - np.minimum(_row_min(D), params.epsilon)
 
     res = np.empty(grid.n_points)
     ni = grid.n_interior
@@ -182,7 +253,7 @@ def _jacobian_coefficients(grid: Grid, u: np.ndarray, params: SchemeParams) -> n
     D, Dmax, S = _branches(grid, u, params)
     G = np.where(D > eps, -(2.0 * S ** -3.0)[:, None] * (w / np.pi) / Dmax ** 2, 0.0)
     j = D.argmin(axis=1)
-    active = np.flatnonzero(D[np.arange(len(j)), j] < eps)
+    active = np.flatnonzero(_row_min(D) < eps)
     G[active, j[active]] -= 1.0
     return G
 

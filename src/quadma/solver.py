@@ -69,11 +69,12 @@ class SolveReport:
     The fields are in the order of the ``report`` keys of ``quadma solve
     --output``, which writes ``dataclasses.asdict(report)``.
     ``linear_iterations`` counts the BiCGSTAB iterations of each Newton
-    linear solve (see ``_solve_linear``): the full ones, plus one if
-    BiCGSTAB stopped halfway through an iteration, at its test after the
-    first half step.  ``forcing`` holds the relative tolerance ``eta`` it
-    was given.  Both have one entry per iteration, plus one for the step
-    whose linear solve failed or whose line search stalled, if any.
+    linear solve (see ``_solve_linear``), as scipy's BiCGSTAB would
+    count them: the full ones, plus one for an iteration that stopped or
+    broke down after its first half step.  ``forcing`` holds the relative
+    tolerance ``eta`` it was given.  Both have one entry per iteration,
+    plus one for the step whose linear solve failed or whose line search
+    stalled, if any.
     """
 
     converged: bool = False
@@ -120,6 +121,10 @@ def poisson_init(grid: Grid, f, g) -> np.ndarray:
 # reaches the cap fails, and so does its Newton iteration.
 BICGSTAB_MAXITER = 2000
 
+# BiCGSTAB breaks down where |rho| or |omega| falls below this; scipy's
+# thresholds, kept so that the iterations stop where scipy's stop.
+BREAKDOWN_TOL = np.finfo(float).eps ** 2
+
 # Eisenstat-Walker choice 2 (alpha = 2, gamma = 0.9) for the forcing terms:
 # eta_0 = ETA_MAX, then eta_k = gamma * (|F_k| / |F_{k-1}|)**2 in the max
 # norm, clipped to [ETA_MIN, ETA_MAX].  Their safeguard, raising eta_k to
@@ -148,33 +153,72 @@ def _solve_linear(A, b: np.ndarray, rtol: float) -> tuple[np.ndarray | None, int
     """Solve the Newton system ``A x = b`` for the interior block ``A`` of the Jacobian.
 
     The scheme is monotone, so ``A`` is an M-matrix, and it is solved by
-    Jacobi-preconditioned BiCGSTAB to ``|A x - b| <= rtol * |b|``.  Returns
-    ``(x, iterations, failure)``: ``iterations`` counts the BiCGSTAB
-    iterations, also when it fails, and ``failure`` is empty, or names the
-    cause when there is no step ``x``: a zero or non-finite diagonal entry,
-    a breakdown, the iteration cap, or a non-finite solution.
+    Jacobi-preconditioned BiCGSTAB (van der Vorst, SISSC 13, 1992) from
+    ``x = 0`` to ``|A x - b| <= rtol * |b|``.  The loop takes the steps of
+    scipy 1.17's BiCGSTAB in its order, with its float operations: inner
+    products by ``np.dot``, norms as ``sqrt(r . r)``, products ``A @ v``;
+    so it gives scipy's iterates bit for bit, without scipy's operator
+    wrappers.  As scipy's does, it stops at the top of an iteration, or
+    halfway through one, after the update along the preconditioned search
+    direction; it breaks down at the top of an iteration when ``|rho|`` or
+    ``|omega|`` falls below ``eps**2``, or halfway when ``dot(rtilde, v)``
+    is zero.  Returns ``(x, iterations, failure)``: ``iterations`` counts
+    the full iterations, plus one for an iteration that stopped or broke
+    down halfway, also when the solve fails; ``failure`` is empty, or names
+    the cause when there is no step ``x``: a zero or non-finite diagonal
+    entry, a breakdown and its quantity, the iteration cap, or a non-finite
+    solution.
     """
     diag = A.diagonal()
     if not np.all(np.isfinite(diag) & (diag != 0.0)):
         return None, 0, "BiCGSTAB cannot run: the Jacobian has a zero or non-finite diagonal entry"
     inv_diag = 1.0 / diag
-    applied = 0
-
-    def jacobi(v):
-        nonlocal applied
-        applied += 1
-        return inv_diag * v
-
-    # with its dtype given, scipy does not call jacobi once more to infer it
-    x, info = spla.bicgstab(A, b, rtol=rtol, atol=0.0, maxiter=BICGSTAB_MAXITER,
-                            M=spla.LinearOperator(A.shape, matvec=jacobi, dtype=A.dtype))
-    # two preconditioner applications per iteration, one if it stops halfway
-    iterations = (applied + 1) // 2
-    if info == 0 and np.all(np.isfinite(x)):
-        return x, iterations, ""
-    cause = (f"did not reach rtol = {rtol:.3e} within its cap of {info} iterations" if info > 0
-             else f"broke down (scipy info {info})" if info < 0 else "returned a non-finite step")
-    return None, iterations, f"BiCGSTAB {cause}"
+    bnorm = np.sqrt(np.dot(b, b))
+    if bnorm == 0.0:
+        return b.copy(), 0, ""
+    atol = rtol * bnorm
+    x = np.zeros(len(b))
+    r = b.copy()
+    rtilde = b.copy()
+    p, phat, shat, scaled = (np.empty_like(x) for _ in range(4))
+    for k in range(BICGSTAB_MAXITER):
+        if np.sqrt(np.dot(r, r)) < atol:
+            iterations = k
+            break
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < BREAKDOWN_TOL:
+            return None, k, "BiCGSTAB broke down: |rho| = |dot(rtilde, r)| fell below eps**2"
+        if k == 0:
+            p[:] = r
+        else:
+            if np.abs(omega) < BREAKDOWN_TOL:
+                return None, k, "BiCGSTAB broke down: |omega| fell below eps**2"
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= np.multiply(omega, v, out=scaled)
+            p *= beta
+            p += r
+        v = A @ np.multiply(inv_diag, p, out=phat)
+        rv = np.dot(rtilde, v)
+        if rv == 0.0:
+            return None, k + 1, "BiCGSTAB broke down: dot(rtilde, v) = 0"
+        alpha = rho / rv
+        r -= np.multiply(alpha, v, out=scaled)
+        if np.sqrt(np.dot(r, r)) < atol:
+            x += np.multiply(alpha, phat, out=scaled)
+            iterations = k + 1
+            break
+        t = A @ np.multiply(inv_diag, r, out=shat)
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += np.multiply(alpha, phat, out=scaled)
+        x += np.multiply(omega, shat, out=scaled)
+        r -= np.multiply(omega, t, out=scaled)
+        rho_prev = rho
+    else:
+        return None, BICGSTAB_MAXITER, (f"BiCGSTAB did not reach rtol = {rtol:.3e} within its "
+                                        f"cap of {BICGSTAB_MAXITER} iterations")
+    if not np.all(np.isfinite(x)):
+        return None, iterations, "BiCGSTAB returned a non-finite step"
+    return x, iterations, ""
 
 
 def damped_newton(grid: Grid, params: SchemeParams, f, g, u0: np.ndarray,

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from quadma import ConvexDomain
+from quadma import ConvexDomain, solver
 
 
 def regularized_det_reference(hessian, epsilon: float, rule) -> float:
@@ -164,3 +165,32 @@ def merge_labels_reference(points, tol) -> np.ndarray:
                 stack.append(j)
     return labels
 
+
+def solve_linear_reference(A, b, rtol):
+    """``solver._solve_linear`` by scipy's ``bicgstab``, as the library once called it.
+
+    Jacobi-preconditioned, from ``x = 0``, to ``|A x - b| <= rtol * |b|``
+    within ``solver.BICGSTAB_MAXITER`` iterations, through a
+    ``LinearOperator`` that counts its applications: two per iteration,
+    one if BiCGSTAB stopped halfway through one.  Returns
+    ``(x, iterations, failure)`` as ``_solve_linear`` does; a failure names
+    scipy's ``info``.
+    """
+    diag = A.diagonal()
+    if not np.all(np.isfinite(diag) & (diag != 0.0)):
+        return None, 0, "BiCGSTAB cannot run: the Jacobian has a zero or non-finite diagonal entry"
+    inv_diag = 1.0 / diag
+    applied = 0
+
+    def jacobi(v):
+        nonlocal applied
+        applied += 1
+        return inv_diag * v
+
+    # with its dtype given, scipy does not call jacobi once more to infer it
+    x, info = spla.bicgstab(A, b, rtol=rtol, atol=0.0, maxiter=solver.BICGSTAB_MAXITER,
+                            M=spla.LinearOperator(A.shape, matvec=jacobi, dtype=A.dtype))
+    iterations = (applied + 1) // 2
+    if info == 0 and np.all(np.isfinite(x)):
+        return x, iterations, ""
+    return None, iterations, f"BiCGSTAB failed (scipy info {info})"

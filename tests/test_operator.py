@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import regularized_det_reference, stencil_matrix_reference
 from quadma import (SchemeParams, assemble_jacobian, build_grid, damped_newton, default_params,
                     hex_angles, l1_angles, scheme_apply, sdd_matrix, simpson_weights,
                     trapezoid_weights, uniform_angles)
-from quadma.operator import _jacobian_coefficients
+from quadma.operator import _jacobian_coefficients, _row_min, _row_sum
 
 
 def quadratic(points, m):
@@ -250,3 +253,53 @@ def test_consistency_error_decays_on_smooth_convex_solution():
         assert vals[0] > vals[1] > vals[2]
         slope = -np.polyfit(np.log([16, 32, 64]), np.log(vals), 1)[0]
         assert slope > 0.2
+
+
+# entries drawn often from a few values, so that rows tie and mix signed
+# zeros; or only zeros and ones, so that many minima are zeros of both signs
+entries = st.sampled_from([
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1]), st.floats(-1e3, 1e3),
+              st.floats(allow_nan=False)),
+    st.sampled_from([0.0, -0.0, 1.0]),
+])
+
+
+@st.composite
+def tables(draw):
+    """``(rows, m)`` float tables: m up to 40 (numpy sums rows of fewer than
+    8 terms one by one and of 8 to 128 in 8 accumulators), or up to 300
+    (above 128 it splits a row in halves)."""
+    m = draw(st.one_of(st.integers(1, 40), st.integers(41, 300)))
+    return draw(arrays(np.float64, (draw(st.integers(1, 8)), m), elements=draw(entries)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(T=tables())
+def test_column_reductions_equal_numpy_bit_for_bit(T):
+    # zeros of both signs included: which one a row's minimum or sum is
+    # depends on the order of the operations; so do overflows to inf and
+    # sums of opposite infinities, NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(_bits(_row_sum(T)), _bits(T.sum(axis=1)))
+    assert np.array_equal(_bits(_row_min(T)), _bits(T.min(axis=1)))
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17, 40, 128, 129, 136, 300])
+def test_column_reductions_at_the_branch_edges(m):
+    rng = np.random.default_rng(m)
+    T = rng.standard_normal((50, m)) * 10.0 ** rng.integers(-8, 8, (50, m))
+    T[0] = -0.0
+    T[1] = 0.0
+    T[2, ::2] = -0.0
+    T[3:5] = np.abs(T[3:5])
+    T[3, ::2] = -0.0
+    T[4, 1::2] = -0.0
+    T[4, 0::2] = 0.0
+    T[5], T[6] = -0.0, 0.0
+    T[5, -1], T[6, -1] = 0.0, -0.0
+    assert np.array_equal(_bits(_row_sum(T)), _bits(T.sum(axis=1)))
+    assert np.array_equal(_bits(_row_min(T)), _bits(T.min(axis=1)))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import logging
 import os
@@ -7,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import solve_linear_reference
 from quadma import (BenchmarkProblem, NewtonConfig, assemble_jacobian, build_grid,
-                    coarse_to_fine, damped_newton, default_params, disc, ex1, ex4, max_error,
+                    coarse_to_fine, damped_newton, default_params, disc, ex1, ex2, ex4, max_error,
                     poisson_init, rectangle, scheme_apply, solve_problem, square, solver)
 from quadma.cli import main
 from quadma.meshing import CLEARANCE
@@ -151,6 +154,42 @@ def test_solve_linear_counts_scipy_bicgstab_iterations(backend, n):
         y, iterations, failure = _solve_linear(A, b, rtol)
         assert failure == "" and np.array_equal(y, x)
         assert iterations == len(iterates) - 1 + halfway
+
+
+def _solves():
+    """ex2 on hex n=32, ex4 on Cartesian n=32 and a warm start on a hex disc:
+    values and report of each."""
+    prob = ex1()
+    disc_prob = BenchmarkProblem("ex1-disc", disc((0.1, -0.05), 0.9), prob.u_exact, prob.f, prob.g)
+    solves = [solve_problem(ex2(), "hex", 32), solve_problem(ex4(), "cartesian", 32),
+              solve_problem(disc_prob, "hex", 48, warm_start=True)]
+    return [(values, dataclasses.asdict(report)) for _, values, report, _ in solves]
+
+
+def test_solves_equal_those_of_scipy_bicgstab(monkeypatch):
+    # every Newton system of these solves, the late ones with tight forcing
+    # terms and those where BiCGSTAB stops halfway included, gives scipy's
+    # step and iteration count bit for bit: same values, same reports
+    shipped = _solves()
+    monkeypatch.setattr(solver, "_solve_linear", solve_linear_reference)
+    reference = _solves()
+    for (values, report), (ref_values, ref_report) in zip(shipped, reference):
+        assert report["converged"] and report == ref_report
+        assert values.tobytes() == ref_values.tobytes()
+
+
+@pytest.mark.parametrize("A, b, iterations, cause, info", [
+    # v = A (b / diag) = 0, so rtilde . v = 0 on the first half step
+    ([[1.0, 1.0], [1.0, 1.0]], [1.0, -1.0], 1, "dot(rtilde, v) = 0", -11),
+    # the first iteration leaves r = (-1, 1), orthogonal to rtilde = b
+    ([[1.0, -2.0], [0.0, -1.0]], [2.0, 2.0], 1, "|rho| = |dot(rtilde, r)| fell below eps**2", -10),
+], ids=["rtilde-v", "rho"])
+def test_breakdown_names_its_quantity(A, b, iterations, cause, info):
+    A, b = sp.csr_matrix(A), np.array(b)
+    assert _solve_linear(A, b, 1e-8) == (None, iterations, f"BiCGSTAB broke down: {cause}")
+    # scipy breaks down there too, after as many iterations
+    assert solve_linear_reference(A, b, 1e-8) == (None, iterations,
+                                                  f"BiCGSTAB failed (scipy info {info})")
 
 
 def _zero_first_row(*args):
