@@ -77,10 +77,6 @@ class AngularDiscretization:
         """Unit vectors ``(cos theta, sin theta)``, shape ``(M+1, 2)``."""
         return np.column_stack([np.cos(self.angles), np.sin(self.angles)])
 
-    def gap_ratios(self) -> np.ndarray:
-        """Cyclic consecutive gap ratios ``gaps[i+1] / gaps[i]``."""
-        return np.roll(self.gaps, -1) / self.gaps
-
 
 def uniform_angles(count: int) -> AngularDiscretization:
     """``count`` equally spaced angles ``j * pi / count``, ``count`` a positive integer."""

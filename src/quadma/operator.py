@@ -43,16 +43,25 @@ __all__ = [
 ]
 
 
+# Below sqrt(tiny), eps**2 underflows and the Jacobian's discarded entries
+# compute 0/0; above cbrt(max / 2), its 2 * S**-3 overflows on a row whose
+# differences all lie below eps, where S = 1/eps.  The bound spares a factor 2.
+EPSILON_MIN = float(np.sqrt(np.finfo(float).tiny))
+EPSILON_MAX = float(np.cbrt(np.finfo(float).max / 4))
+
+
 @dataclass(frozen=True)
 class SchemeParams:
-    """Regularization floor and quadrature rule used by the scheme."""
+    """Regularization floor, in ``[EPSILON_MIN, EPSILON_MAX]`` (about
+    ``[1.5e-154, 3.6e102]``), and quadrature rule used by the scheme."""
 
     epsilon: float
     quadrature: QuadratureRule
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be finite and positive")
+        if not EPSILON_MIN <= self.epsilon <= EPSILON_MAX:
+            raise ValueError(f"epsilon must be finite and in [{EPSILON_MIN:.3g}, "
+                             f"{EPSILON_MAX:.3g}], got {self.epsilon}")
 
 
 def default_params(grid: Grid, epsilon: float | None = None) -> SchemeParams:
@@ -110,7 +119,7 @@ def _stencil_data(grid: Grid, G: np.ndarray, angles=None) -> np.ndarray:
     table = np.empty((ni, 2 * m + 1))
     np.multiply(G, cp, out=table[:, :m])
     np.multiply(G, cm, out=table[:, m:-1])
-    np.negative(_row_sum(G * (cp + cm)), out=table[:, -1])
+    table[:, -1] = -(G * (cp + cm)).sum(axis=1)
     return table.ravel()
 
 
@@ -130,41 +139,6 @@ def _row_min(D: np.ndarray) -> np.ndarray:
     if zero.size:
         low[zero] = D[zero].min(axis=1)
     return low
-
-
-def _row_sum(T: np.ndarray) -> np.ndarray:
-    """``T.sum(axis=1)`` bit for bit, for a 2-D ``T``, in passes over its columns.
-
-    numpy adds each row pairwise (``pairwise_sum`` in its loops) to its
-    identity 0.0: rows of fewer than 8 terms one by one; up to 128 terms in
-    8 accumulators, every eighth term into each, added as a tree, then the
-    rest one by one; longer rows as the sums of two halves, split at a
-    multiple of 8.
-    """
-    total = np.zeros(len(T))
-    total += _pairwise_sum(T)
-    return total
-
-
-def _pairwise_sum(T: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of every row of ``T`` (see ``_row_sum``)."""
-    m = T.shape[1]
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return _pairwise_sum(T[:, :half]) + _pairwise_sum(T[:, half:])
-    if m < 8:
-        total, rest = T[:, 0].copy(), T.T[1:]
-    else:
-        tail = m - m % 8
-        acc = T[:, :8].T.copy()
-        for start in range(8, tail, 8):
-            acc += T[:, start:start + 8].T
-        while len(acc) > 1:
-            acc = acc[0::2] + acc[1::2]
-        total, rest = acc[0], T.T[tail:]
-    for column in rest:
-        total += column
-    return total
 
 
 def _fill(block: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:

@@ -178,9 +178,7 @@ def _solve_linear(A, b: np.ndarray, rtol: float) -> tuple[np.ndarray | None, int
         return b.copy(), 0, ""
     atol = rtol * bnorm
     x = np.zeros(len(b))
-    r = b.copy()
-    rtilde = b.copy()
-    p, phat, shat, scaled = (np.empty_like(x) for _ in range(4))
+    r, rtilde = b.copy(), b
     for k in range(BICGSTAB_MAXITER):
         if np.sqrt(np.dot(r, r)) < atol:
             iterations = k
@@ -189,29 +187,31 @@ def _solve_linear(A, b: np.ndarray, rtol: float) -> tuple[np.ndarray | None, int
         if np.abs(rho) < BREAKDOWN_TOL:
             return None, k, "BiCGSTAB broke down: |rho| = |dot(rtilde, r)| fell below eps**2"
         if k == 0:
-            p[:] = r
+            p = r.copy()
         else:
             if np.abs(omega) < BREAKDOWN_TOL:
                 return None, k, "BiCGSTAB broke down: |omega| fell below eps**2"
             beta = (rho / rho_prev) * (alpha / omega)
-            p -= np.multiply(omega, v, out=scaled)
+            p -= omega * v
             p *= beta
             p += r
-        v = A @ np.multiply(inv_diag, p, out=phat)
+        phat = inv_diag * p
+        v = A @ phat
         rv = np.dot(rtilde, v)
         if rv == 0.0:
             return None, k + 1, "BiCGSTAB broke down: dot(rtilde, v) = 0"
         alpha = rho / rv
-        r -= np.multiply(alpha, v, out=scaled)
+        r -= alpha * v
         if np.sqrt(np.dot(r, r)) < atol:
-            x += np.multiply(alpha, phat, out=scaled)
+            x += alpha * phat
             iterations = k + 1
             break
-        t = A @ np.multiply(inv_diag, r, out=shat)
+        shat = inv_diag * r
+        t = A @ shat
         omega = np.dot(t, r) / np.dot(t, t)
-        x += np.multiply(alpha, phat, out=scaled)
-        x += np.multiply(omega, shat, out=scaled)
-        r -= np.multiply(omega, t, out=scaled)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
         rho_prev = rho
     else:
         return None, BICGSTAB_MAXITER, (f"BiCGSTAB did not reach rtol = {rtol:.3e} within its "

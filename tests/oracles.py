@@ -10,6 +10,11 @@ import scipy.sparse.linalg as spla
 from quadma import ConvexDomain, solver
 
 
+def gap_ratios(discretization) -> np.ndarray:
+    """Cyclic consecutive gap ratios ``gaps[i+1] / gaps[i]`` of an angle set."""
+    return np.roll(discretization.gaps, -1) / discretization.gaps
+
+
 def regularized_det_reference(hessian, epsilon: float, rule) -> float:
     """Regularized determinant of an exact 2x2 symmetric quadratic form.
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import regularized_det_reference, stencil_matrix_reference
+from oracles import gap_ratios, regularized_det_reference, stencil_matrix_reference
 from quadma import (assemble_jacobian, build_grid, convergence_study, default_params,
                     ex1, ex2, ex3, ex4, l1_angles, scheme_apply, sdd_matrix,
                     simpson_weights, solve_problem, square, trapezoid_weights,
@@ -115,8 +115,8 @@ def test_criterion_4_simpson_weight_positivity():
 def test_criterion_5_quasi_uniformity():
     """Q <= 2.2 for K=2..256 and gap ratios closer to 1 at K=64 than K=8."""
     worst_q = max(l1_angles(K).quasi_uniformity for K in range(2, 257))
-    dev8 = np.abs(l1_angles(8).gap_ratios() - 1.0).max()
-    dev64 = np.abs(l1_angles(64).gap_ratios() - 1.0).max()
+    dev8 = np.abs(gap_ratios(l1_angles(8)) - 1.0).max()
+    dev64 = np.abs(gap_ratios(l1_angles(64)) - 1.0).max()
     ok = worst_q <= 2.2 and dev64 < dev8
     _report("criterion 5 (quasi-uniformity)", ok,
             f"max Q={worst_q:.4f}, ratio deviation K=8: {dev8:.4f} -> K=64: {dev64:.4f}")

@@ -369,6 +369,9 @@ LIBRARY_REJECTS = [
     ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "16,24", "--c-K", "inf"],
     ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "16,24", "--c-K", "0"],
     ["study", "--problem", "ex1", "--backend", "cartesian", "--n", "16,24", "--c-K", "-5e-1"],
+    # epsilons whose powers the Jacobian cannot hold (0/0 below, overflow above)
+    ["solve", "--problem", "ex4", "--backend", "cartesian", "--n", "16", "--epsilon", "1e-200"],
+    ["solve", "--problem", "ex4", "--backend", "cartesian", "--n", "16", "--epsilon", "1e154"],
 ]
 # non-finite domain values, each with the value its message must name
 DOMAIN_REJECTS = [

@@ -7,9 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import regularized_det_reference, stencil_matrix_reference
 from quadma import (SchemeParams, assemble_jacobian, build_grid, damped_newton, default_params,
-                    hex_angles, l1_angles, scheme_apply, sdd_matrix, simpson_weights,
-                    trapezoid_weights, uniform_angles)
-from quadma.operator import _jacobian_coefficients, _row_min, _row_sum
+                    ex4, hex_angles, l1_angles, poisson_init, scheme_apply, sdd_matrix,
+                    simpson_weights, trapezoid_weights, uniform_angles)
+from quadma.operator import EPSILON_MAX, EPSILON_MIN, _jacobian_coefficients, _row_min
 
 
 def quadratic(points, m):
@@ -89,13 +89,30 @@ def test_regularized_det_degenerate_vanishes_with_eps():
 def test_scheme_params_validation(cart_grid):
     with pytest.raises(ValueError):
         SchemeParams(0.0, simpson_weights(l1_angles(2)))
-    for eps in (np.inf, np.nan):
+    # below sqrt(tiny) the Jacobian's discarded entries would compute 0/0,
+    # above cbrt(max / 2) its 2 * S**-3 would overflow
+    for eps in (np.inf, np.nan, 1e-200, np.nextafter(EPSILON_MIN, 0.0),
+                np.nextafter(EPSILON_MAX, np.inf), 1e154):
         with pytest.raises(ValueError, match="finite"):
-            SchemeParams(eps, simpson_weights(l1_angles(2)))
+            SchemeParams(float(eps), simpson_weights(l1_angles(2)))
     mismatched = SchemeParams(1e-3, trapezoid_weights(hex_angles()))
     with pytest.raises(ValueError):
         scheme_apply(cart_grid, np.zeros(cart_grid.n_points), mismatched,
                      lambda p: np.zeros(len(p)), lambda p: np.zeros(len(p)))
+
+
+@pytest.mark.parametrize("backend", ["cartesian", "hex"])
+def test_epsilon_at_the_ends_of_its_range_raises_no_warning(backend):
+    # from a start whose differences all lie below eps (S = 1/eps), and from
+    # the Poisson start; the test settings make a RuntimeWarning an error
+    prob = ex4()
+    grid = build_grid(prob.domain, backend, 16)
+    rule = default_params(grid).quadrature
+    for u in (np.zeros(grid.n_points), poisson_init(grid, prob.f, prob.g)):
+        for eps in (EPSILON_MIN, EPSILON_MAX):
+            params = SchemeParams(eps, rule)
+            assert np.all(np.isfinite(assemble_jacobian(grid, u, params).data))
+            assert np.all(np.isfinite(scheme_apply(grid, u, params, prob.f, prob.g)))
 
 
 @pytest.mark.parametrize("backend", ["cartesian", "hex"])
@@ -266,9 +283,7 @@ entries = st.sampled_from([
 
 @st.composite
 def tables(draw):
-    """``(rows, m)`` float tables: m up to 40 (numpy sums rows of fewer than
-    8 terms one by one and of 8 to 128 in 8 accumulators), or up to 300
-    (above 128 it splits a row in halves)."""
+    """``(rows, m)`` float tables: m up to 40, or up to 300."""
     m = draw(st.one_of(st.integers(1, 40), st.integers(41, 300)))
     return draw(arrays(np.float64, (draw(st.integers(1, 8)), m), elements=draw(entries)))
 
@@ -280,11 +295,8 @@ def _bits(a):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(T=tables())
 def test_column_reductions_equal_numpy_bit_for_bit(T):
-    # zeros of both signs included: which one a row's minimum or sum is
-    # depends on the order of the operations; so do overflows to inf and
-    # sums of opposite infinities, NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array_equal(_bits(_row_sum(T)), _bits(T.sum(axis=1)))
+    # zeros of both signs included: which one a row's minimum is depends on
+    # the order of the operations
     assert np.array_equal(_bits(_row_min(T)), _bits(T.min(axis=1)))
 
 
@@ -301,5 +313,4 @@ def test_column_reductions_at_the_branch_edges(m):
     T[4, 0::2] = 0.0
     T[5], T[6] = -0.0, 0.0
     T[5, -1], T[6, -1] = 0.0, -0.0
-    assert np.array_equal(_bits(_row_sum(T)), _bits(T.sum(axis=1)))
     assert np.array_equal(_bits(_row_min(T)), _bits(T.min(axis=1)))
