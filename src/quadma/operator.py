@@ -26,6 +26,7 @@ own blocks of the same stencil table.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +143,15 @@ def _row_min(D: np.ndarray) -> np.ndarray:
 
 
 def _fill(block: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
-    """A stencil block filled from its table positions in ``data``, sharing its indices."""
-    return sp.csr_matrix((data[block.data], block.indices, block.indptr), shape=block.shape)
+    """A stencil block filled from its table positions in ``data``, sharing its indices.
+
+    A shallow copy of the block takes the new values, so the fill skips the
+    format checks of scipy's constructor, which the block passed when it
+    was built.
+    """
+    filled = copy.copy(block)
+    filled.data = data[block.data]
+    return filled
 
 
 def _laplacian_coefficients(grid: Grid) -> np.ndarray:

@@ -13,13 +13,18 @@ by Eisenstat and Walker's choice 2 (SISC 17, 1996), loose while the
 residual is large and tight as Newton closes in, while the stopping test
 stays on the true nonlinear residual.  The initial guess solves a linear
 Dirichlet problem for the discrete Laplacian with right-hand side
-``sqrt(2 f)``, the linearization of the determinant equation around an
-isotropic Hessian.  A
-coarse-to-fine warm start (solve small, prolong, then polish) is available
-for larger runs; its prolongation takes, at every fine interior point, the
-second-order Taylor polynomial about the nearest coarse interior node, with
-the gradient and Hessian fitted to that node's stencil differences, so it
-reproduces quadratics and keeps the curvature the scheme acts on.
+``2 sqrt(f)``, which matches the scheme on an isotropic Hessian: on
+``u = c |x|**2 / 2`` every second difference is ``c``, and since both
+quadrature rules' weights sum to pi the scheme's determinant term is
+``c**2`` where ``Lap u = 2 c``.  That Laplacian is the negative of a
+nonsingular M-matrix, so its sparse LU needs no pivoting and takes its
+pivots on the diagonal, in a fill-reducing symmetric order.  A
+coarse-to-fine warm start (solve small, prolong, then polish) is
+available for larger runs; its prolongation takes, at every fine
+interior point, the second-order Taylor polynomial about the nearest
+coarse interior node, with the gradient and Hessian fitted to that node's
+stencil differences, so it reproduces quadratics and keeps the curvature
+the scheme acts on.
 """
 
 from __future__ import annotations
@@ -100,25 +105,36 @@ def _field_values(grid: Grid, f, g) -> tuple[np.ndarray, np.ndarray]:
 
 
 def poisson_init(grid: Grid, f, g) -> np.ndarray:
-    """Initial guess from the linear problem ``Lap u = sqrt(2 f)``, ``u = g`` on the boundary.
+    """Initial guess from the linear problem ``Lap u = 2 sqrt(f)``, ``u = g`` on the boundary.
 
-    Solves ``A x = sqrt(2 f) - B g`` on the interior block directly.  A
-    non-finite or negative ``f``, or a non-finite ``g``, is a ValueError.
+    On ``u = c |x|**2 / 2 + a . x + b`` the scheme's determinant term is
+    ``c**2`` and the Laplacian is ``2 c``, so for ``f = c**2`` and that
+    ``u`` as ``g`` the start is ``u`` itself, to roundoff: the isotropic
+    solution of the scheme, up to its ``eps`` floor.  Solves ``A x = 2
+    sqrt(f) - B g`` on the interior block directly.  ``-A`` is a
+    nonsingular M-matrix, which Gaussian elimination factors in any
+    symmetric order without pivoting (Berman and Plemmons, *Nonnegative
+    Matrices in the Mathematical Sciences*, 1994, ch. 6), so the LU takes
+    its pivots on the diagonal in a minimum-degree order of ``A' + A``,
+    with less fill than partial pivoting in a column order.  A non-finite
+    or negative ``f``, or a non-finite ``g``, is a ValueError.
     """
     fv, gv = _field_values(grid, f, g)
     if np.any(fv < -1e-13):
         raise ValueError("poisson_init requires f >= 0 on interior nodes")
     A, B = _laplacian_system(grid)
-    x = spla.spsolve(A, np.sqrt(2.0 * np.maximum(fv, 0.0)) - B @ gv)
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    x = lu.solve(2.0 * np.sqrt(np.maximum(fv, 0.0)) - B @ gv)
     if not np.all(np.isfinite(x)):
         raise RuntimeError("linear solve for the Poisson initialization failed")
     return np.concatenate([x, gv])
 
 
 # BiCGSTAB iteration cap per Newton step.  On ex1-ex4 from the Poisson start,
-# both backends, no step took more than 68 iterations at n=128 (ex2 on hex)
-# or 194 at n=256 (ex1 on hex, 28178 interior unknowns); a solve that
-# reaches the cap fails, and so does its Newton iteration.
+# both backends, one BLAS thread, no step took more than 73 iterations at
+# n=128 (ex3 on hex) or 175 at n=256 (ex2 on hex, 28178 interior unknowns);
+# a solve that reaches the cap fails, and so does its Newton iteration.
 BICGSTAB_MAXITER = 2000
 
 # BiCGSTAB breaks down where |rho| or |omega| falls below this; scipy's

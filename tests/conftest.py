@@ -3,6 +3,8 @@ import pytest
 
 from quadma import build_grid, default_params, square
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture(scope="session")
 def unit_square():

@@ -28,9 +28,34 @@ def quad_data(p):
 
 
 def test_poisson_recovers_quadratic(cart_grid, hex_grid):
+    # f = 1 is det D^2 u of the data |x|^2 / 2
     for g in (cart_grid, hex_grid):
-        u = poisson_init(g, lambda p: 2.0 * np.ones(len(p)), quad_data)
+        u = poisson_init(g, lambda p: np.ones(len(p)), quad_data)
         assert np.abs(u - quad_data(g.points)).max() <= 1e-10
+
+
+_coords = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(domain=st.one_of(
+           st.builds(square, _coords, st.floats(0.3, 2.0)),
+           st.builds(lambda ll, w, a: rectangle(ll, (w, a * w)), _coords, st.floats(0.3, 2.0),
+                     st.floats(0.3, 3.0)),
+           st.builds(disc, _coords, st.floats(0.3, 1.5))),
+       backend=st.sampled_from(["cartesian", "hex"]), n=st.integers(9, 40),
+       c=st.floats(0.1, 10.0), a=_coords, b=st.floats(-1.0, 1.0))
+def test_poisson_start_is_the_isotropic_quadratic(domain, backend, n, c, a, b):
+    # on u = c |x|^2 / 2 + a . x + b the scheme's determinant term is c^2
+    # and the Laplacian 2c, both exactly, so f = c^2 starts Newton at u
+    grid = build_grid(domain, backend, n)
+
+    def u(p):
+        return 0.5 * c * (p ** 2).sum(axis=1) + p @ np.array(a) + b
+
+    exact = u(grid.points)
+    start = poisson_init(grid, c * c, u)
+    assert np.abs(start - exact).max() <= 1e-10 * np.abs(exact).max()
 
 
 def test_poisson_trivial_cases(cart_grid, hex_grid, zeros):
@@ -48,7 +73,7 @@ def test_poisson_linear_residual_small(cart_grid):
     ni = g.n_interior
     A, B = _laplacian_system(g)
     assert np.array_equal(u[ni:], gb(g.points[ni:]))
-    rhs = np.sqrt(2.0 * f(g.points[:ni]))
+    rhs = 2.0 * np.sqrt(f(g.points[:ni]))
     resid = np.abs(A @ u[:ni] + B @ u[ni:] - rhs).max()
     assert resid <= 1e-10 * max(1.0, np.abs(rhs).max(), np.abs(u[ni:]).max())
 
@@ -225,7 +250,7 @@ def test_failed_linear_solve_fails_the_newton_solve(monkeypatch, fault, iteratio
 
 
 @pytest.mark.parametrize("make, iterations, alphas, error", [
-    (ex1, 6, [0.25, 0.25, 1.0, 1.0, 1.0, 1.0], 7.0336e-3),
+    (ex1, 3, [1.0, 1.0, 1.0], 7.0337e-3),
     (ex4, 10, [1.0, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0], 6.8945e-3),
 ], ids=["ex1", "ex4"])
 def test_newton_history_cartesian_n72_k5(make, iterations, alphas, error):
@@ -374,19 +399,18 @@ def test_solution_independent_of_start():
 
 
 def test_coarse_to_fine_warm_start_not_slower():
+    # The Poisson start solves both cases cold in 2 steps, fewer than a warm
+    # start takes, so the warm counts have fixed bounds.  On hex, a
+    # prolongation that loses the coarse solution's curvature
+    # (piecewise-linear, say) starts Newton 10 steps away.
     prob = ex1()
-    _, _, rep_cold, _ = solve_problem(prob, "cartesian", 33)
     _, _, rep_warm, _ = solve_problem(prob, "cartesian", 33, warm_start=True, coarse_n=17)
     assert rep_warm.converged
-    assert rep_warm.iterations <= rep_cold.iterations
-    # hex on a disc: a prolongation that loses the coarse solution's
-    # curvature (piecewise-linear, say) starts Newton 10 steps away here,
-    # where the cold start takes 4
+    assert rep_warm.iterations <= 4
     disc_prob = BenchmarkProblem("ex1-disc", disc((0.1, -0.05), 0.9), prob.u_exact, prob.f, prob.g)
-    _, _, rep_cold, _ = solve_problem(disc_prob, "hex", 80)
     _, _, rep_warm, _ = solve_problem(disc_prob, "hex", 80, warm_start=True)
-    assert rep_cold.converged and rep_warm.converged
-    assert rep_warm.iterations <= rep_cold.iterations + 1
+    assert rep_warm.converged
+    assert rep_warm.iterations <= 5
 
 
 # An explicit coarse size of n and of n + 4, and default sizes that reach n

@@ -37,13 +37,15 @@ domains = st.one_of(
 
 @st.composite
 def grids(draw):
+    """The arguments ``(domain, backend, n, K)`` of ``build_grid``, not the
+    grid, so that a failing example prints short."""
     # Cartesian depths K of 4 to 8 give rows of 8 to 16 angles, where
     # numpy's row sum, which the table's diagonal takes, is pairwise and not
     # left to right; the default depth at these sizes, 2 or 3, gives 4 or 6
     backend = draw(st.sampled_from(["cartesian", "hex"]))
     K = draw(st.one_of(st.none(), st.integers(4, 8))) if backend == "cartesian" else None
     n = draw(st.integers(9 if K is None else 2 * K + 3, 20))
-    return build_grid(draw(domains), backend, n, K)
+    return draw(domains), backend, n, K
 
 
 def _check_rows(grid, A, B, sign):
@@ -77,9 +79,10 @@ def _same_csr(M, ref):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(grid=grids(), seed=st.integers(0, 2 ** 32 - 1), zeros=st.floats(0.0, 1.0),
+@given(case=grids(), seed=st.integers(0, 2 ** 32 - 1), zeros=st.floats(0.0, 1.0),
        laplacian=st.booleans())
-def test_stencil_blocks_match_whole_grid_reference(grid, seed, zeros, laplacian):
+def test_stencil_blocks_match_whole_grid_reference(case, seed, zeros, laplacian):
+    grid = build_grid(*case)
     rng = np.random.default_rng(seed)
     if laplacian:
         G = _laplacian_coefficients(grid)  # one per angle; zeros on Cartesian grids
@@ -122,6 +125,19 @@ def test_laplacian_is_built_without_the_newton_pattern(backend):
 
 
 @pytest.mark.parametrize("backend", ["cartesian", "hex"])
+def test_jacobians_share_the_patterns_index_arrays(backend):
+    grid = build_grid(disc((0.1, -0.2), 0.8), backend, 24)
+    params = default_params(grid)
+    pattern = grid.stencil_pattern
+    for scale in (0.5, 2.0):
+        A = assemble_jacobian(grid, scale * (grid.points ** 2).sum(axis=1), params)
+        for name in ("indptr", "indices"):
+            assert getattr(A, name) is getattr(pattern, name)
+            assert not getattr(A, name).flags.writeable
+        assert A.data.dtype == float and not np.shares_memory(A.data, pattern.data)
+
+
+@pytest.mark.parametrize("backend", ["cartesian", "hex"])
 def test_pattern_build_holds_no_table_of_slots(unit_square, backend):
     # an int64 array of the stencil table's shape would lift the peak past
     # twice the pattern's own bytes
@@ -136,15 +152,17 @@ def test_pattern_build_holds_no_table_of_slots(unit_square, backend):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(grid=grids(), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-4.0, 1.0))
-def test_jacobian_is_z_matrix_with_zero_row_sums(grid, seed, scale):
+@given(case=grids(), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-4.0, 1.0))
+def test_jacobian_is_z_matrix_with_zero_row_sums(case, seed, scale):
+    grid = build_grid(*case)
     A, B, _ = _jacobian(grid, seed, scale)
     _check_rows(grid, A, B, sign=1.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(grid=grids(), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-4.0, 1.0))
-def test_krylov_step_meets_its_tolerance(grid, seed, scale):
+@given(case=grids(), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-4.0, 1.0))
+def test_krylov_step_meets_its_tolerance(case, seed, scale):
+    grid = build_grid(*case)
     A, _, rng = _jacobian(grid, seed, scale)
     b = rng.standard_normal(grid.n_interior)
     y, _, failure = _solve_linear(A, b, 1e-8)
@@ -153,6 +171,7 @@ def test_krylov_step_meets_its_tolerance(grid, seed, scale):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(grid=grids())
-def test_laplacian_has_mirrored_signs_and_zero_row_sums(grid):
+@given(case=grids())
+def test_laplacian_has_mirrored_signs_and_zero_row_sums(case):
+    grid = build_grid(*case)
     _check_rows(grid, *_laplacian_system(grid), sign=-1.0)
