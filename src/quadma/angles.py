@@ -107,8 +107,13 @@ def l1_angles(K: int) -> AngularDiscretization:
     """Directions toward the lattice points on an L1 circle of radius K.
 
     Produces ``2K`` angles starting at 0, symmetric about pi/2.  The even
-    count is what the Simpson weights require, and the gap ratios of this
-    set approach 1 as K grows, which keeps those weights positive.
+    count is what the Simpson weights require, and every gap lies strictly
+    between ``1/K`` and ``2/K``, which keeps those weights positive: angle
+    ``j <= K`` is ``atan2(j, K - j)``, whose derivative in ``j``,
+    ``K / ((K - j)**2 + j**2)``, lies in ``[1/K, 2/K]`` and reaches either
+    end only at single points, and the angles past pi/2 mirror these.  So
+    ``Q < 2``, every ratio of adjacent gaps is below 2, and both Simpson
+    weight formulas are positive for every K.
     """
     offs = l1_offsets(K)
     return AngularDiscretization(np.arctan2(offs[:, 1], offs[:, 0]))

@@ -27,8 +27,8 @@ import numpy as np
 
 from .domains import ConvexDomain, rectangle
 from .meshing import Grid, build_grid, default_stencil_depth
-from .operator import SchemeParams, default_params
-from .solver import NewtonConfig, SolveReport, coarse_to_fine, damped_newton, poisson_init
+from .operator import default_params
+from .solver import NewtonConfig, coarse_to_fine, damped_newton, poisson_init
 
 __all__ = [
     "BenchmarkProblem",

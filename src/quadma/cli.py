@@ -21,8 +21,6 @@ import re
 import sys
 import tempfile
 
-import numpy as np
-
 from .angles import l1_angles
 from .benchmarks import BENCHMARKS, convergence_study, max_error, solve_problem
 from .domains import make_domain
@@ -219,13 +217,7 @@ def _cmd_study(args) -> int:
 def _cmd_angles(args) -> int:
     d = l1_angles(args.K)
     trap = trapezoid_weights(d)
-    simpson_error = None
-    try:
-        simp = simpson_weights(d)
-        simpson_w = simp.weights
-    except ValueError as exc:
-        simpson_w = np.full(len(d), np.nan)
-        simpson_error = str(exc)
+    simpson_w = simpson_weights(d).weights
 
     print(f"# L1-circle angles, K={args.K}: {len(d)} angles, "
           f"resolution={d.resolution:.17e}, Q={d.quasi_uniformity:.17e}")
@@ -233,10 +225,7 @@ def _cmd_angles(args) -> int:
     for j in range(len(d)):
         print(f"{j},{d.angles[j]:.17e},{d.gaps[j]:.17e},"
               f"{trap.weights[j]:.17e},{simpson_w[j]:.17e}")
-    if simpson_error is None:
-        print(f"# simpson weights all positive: True (min = {simpson_w.min():.17e})")
-    else:
-        print(f"# simpson weights all positive: False ({simpson_error})")
+    print(f"# simpson weights all positive: True (min = {simpson_w.min():.17e})")
 
     if args.output:
         _write_json(args.output, {
@@ -246,8 +235,8 @@ def _cmd_angles(args) -> int:
             "resolution": d.resolution,
             "quasi_uniformity": d.quasi_uniformity,
             "trapezoid_weights": trap.weights.tolist(),
-            "simpson_weights": None if simpson_error else simpson_w.tolist(),
-            "simpson_positive": simpson_error is None,
+            "simpson_weights": simpson_w.tolist(),
+            "simpson_positive": True,
         })
     return 0
 

@@ -70,6 +70,20 @@ class ConvexDomain:
         return np.asarray(self.sdf(p), dtype=float)
 
 
+def _numbers(value, name: str, *shapes) -> list[float]:
+    """The floats in ``value``, an array-like of one of ``shapes``: ``()``
+    for a number (a 0-d array counts), ``(2,)`` for a pair.  Anything else
+    is a ValueError that names the argument ``name``."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.shape not in shapes:
+        kinds = " or ".join("a pair of numbers" if shape else "a number" for shape in shapes)
+        raise ValueError(f"{name} must be {kinds}, got {value!r}")
+    return array.ravel().tolist()
+
+
 def rectangle(lower_left=(0.0, 0.0), size=1.0) -> ConvexDomain:
     """Axis-aligned open rectangle.
 
@@ -80,11 +94,9 @@ def rectangle(lower_left=(0.0, 0.0), size=1.0) -> ConvexDomain:
     size : float or pair of float
         Side length (square) or ``(width, height)``.
     """
-    x0, y0 = float(lower_left[0]), float(lower_left[1])
-    if np.isscalar(size):
-        w = h = float(size)
-    else:
-        w, h = float(size[0]), float(size[1])
+    x0, y0 = _numbers(lower_left, "lower_left", (2,))
+    sides = _numbers(size, "size", (), (2,))
+    w, h = sides if len(sides) == 2 else sides * 2
     if not (0 < w < np.inf and 0 < h < np.inf):
         raise ValueError(f"rectangle size must be finite and positive, got {size}")
     cx, cy = x0 + w / 2.0, y0 + h / 2.0
@@ -103,15 +115,16 @@ def rectangle(lower_left=(0.0, 0.0), size=1.0) -> ConvexDomain:
 
 def square(lower_left=(0.0, 0.0), side=1.0) -> ConvexDomain:
     """Axis-aligned open square with the given lower-left corner and side."""
+    [side] = _numbers(side, "side", ())
     return rectangle(lower_left, side)
 
 
 def disc(center=(0.0, 0.0), radius=1.0) -> ConvexDomain:
     """Open disc of the given center and radius."""
-    if not 0 < radius < np.inf:
+    cx, cy = _numbers(center, "center", (2,))
+    [r] = _numbers(radius, "radius", ())
+    if not 0 < r < np.inf:
         raise ValueError(f"disc radius must be finite and positive, got {radius}")
-    cx, cy = float(center[0]), float(center[1])
-    r = float(radius)
 
     def sdf(p):
         dx, dy = p[..., 0] - cx, p[..., 1] - cy

@@ -27,6 +27,7 @@ own blocks of the same stencil table.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,24 +125,6 @@ def _stencil_data(grid: Grid, G: np.ndarray, angles=None) -> np.ndarray:
     return table.ravel()
 
 
-def _row_min(D: np.ndarray) -> np.ndarray:
-    """``D.min(axis=1)`` bit for bit, for a 2-D ``D`` without NaN, in passes over its columns.
-
-    numpy reduces every short row on its own, at a cost per row many times
-    that of a pass over a column.  A row's minimum has one value, but where
-    it is zero, whether numpy returns 0.0 or -0.0 depends on its reduction
-    order, which depends on the machine's SIMD width; so the few rows with
-    a zero minimum are left to numpy.
-    """
-    low = D[:, 0].copy()
-    for column in D.T[1:]:
-        np.minimum(low, column, out=low)
-    zero = np.flatnonzero(low == 0.0)
-    if zero.size:
-        low[zero] = D[zero].min(axis=1)
-    return low
-
-
 def _fill(block: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
     """A stencil block filled from its table positions in ``data``, sharing its indices.
 
@@ -190,15 +173,19 @@ def _laplacian_system(grid: Grid) -> tuple[sp.csc_matrix, sp.csr_matrix]:
 
 
 def _branches(grid: Grid, u: np.ndarray, params: SchemeParams):
-    """``(D, max(D, eps), S)`` at ``u``, ``S = 1/pi * sum_j w_j / max(D_j, eps)``:
+    """``(D, max(D, eps), S, min_j D_j)`` at ``u``, ``S = 1/pi * sum_j w_j / max(D_j, eps)``:
     the branches that the residual and the Jacobian both read.  A rule for
-    another angle set is a ValueError."""
+    another angle set is a ValueError.  The minimum is folded over the
+    columns, so a zero one may differ in sign from ``D.min(axis=1)``, which
+    no output reads: the residual subtracts it from ``-S**-2``, never zero,
+    and the Jacobian compares it with ``eps``."""
     angles = params.quadrature.discretization
     if angles is not grid.angles and not np.array_equal(angles.angles, grid.angles.angles):
         raise ValueError("quadrature rule does not match the grid's angle set")
     D = sdd_matrix(grid, u)
     Dmax = np.maximum(D, params.epsilon)
-    return D, Dmax, (1.0 / Dmax) @ params.quadrature.weights / np.pi
+    S = (1.0 / Dmax) @ params.quadrature.weights / np.pi
+    return D, Dmax, S, functools.reduce(np.minimum, D.T)
 
 
 def scheme_apply(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> np.ndarray:
@@ -211,8 +198,8 @@ def scheme_apply(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> np.nd
     many times on one grid evaluates once.
     """
     u = np.asarray(u, dtype=float)
-    D, _, S = _branches(grid, u, params)
-    interior_vals = -S ** -2.0 - np.minimum(_row_min(D), params.epsilon)
+    _, _, S, low = _branches(grid, u, params)
+    interior_vals = -S ** -2.0 - np.minimum(low, params.epsilon)
 
     res = np.empty(grid.n_points)
     ni = grid.n_interior
@@ -232,10 +219,10 @@ def _jacobian_coefficients(grid: Grid, u: np.ndarray, params: SchemeParams) -> n
     """
     eps = params.epsilon
     w = params.quadrature.weights
-    D, Dmax, S = _branches(grid, u, params)
+    D, Dmax, S, low = _branches(grid, u, params)
     G = np.where(D > eps, -(2.0 * S ** -3.0)[:, None] * (w / np.pi) / Dmax ** 2, 0.0)
     j = D.argmin(axis=1)
-    active = np.flatnonzero(_row_min(D) < eps)
+    active = np.flatnonzero(low < eps)
     G[active, j[active]] -= 1.0
     return G
 

@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from quadma import ConvexDomain, solver
+from quadma import ConvexDomain, sdd_matrix, solver
 
 
 def gap_ratios(discretization) -> np.ndarray:
@@ -51,6 +51,31 @@ def stencil_matrix_reference(grid, G) -> sp.coo_matrix:
     data = np.concatenate([(G * grid.cp).ravel(), (G * grid.cm).ravel(),
                            -(G * (grid.cp + grid.cm)).sum(axis=1), np.ones(n - ni)])
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def scheme_reference(grid, u, params, f, g):
+    """``scheme_apply``'s residual and ``assemble_jacobian``'s matrix, with
+    the minimum term taken by numpy's row reductions.
+
+    The minimum is ``D.min(axis=1)`` and its attaining angle
+    ``D.argmin(axis=1)``; every other operation is the library's, in its
+    order.  ``f`` and ``g`` are the values at the interior and the boundary
+    points.  Returns ``(residual, A)``, ``A`` the interior block of
+    :func:`stencil_matrix_reference` with its duplicates summed.
+    """
+    eps, w = params.epsilon, params.quadrature.weights
+    ni = grid.n_interior
+    D = sdd_matrix(grid, u)
+    Dmax = np.maximum(D, eps)
+    S = (1.0 / Dmax) @ w / np.pi
+    low = D.min(axis=1)
+    residual = np.concatenate([-S ** -2.0 - np.minimum(low, eps) + f, u[ni:] - g])
+    G = np.where(D > eps, -(2.0 * S ** -3.0)[:, None] * (w / np.pi) / Dmax ** 2, 0.0)
+    active = np.flatnonzero(low < eps)
+    G[active, D.argmin(axis=1)[active]] -= 1.0
+    A = stencil_matrix_reference(grid, G).tocsr()[:ni, :ni]
+    A.sum_duplicates()
+    return residual, A
 
 
 def boundary_crossings_reference(domain, origins, directions, brackets, iterations=80):

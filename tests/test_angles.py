@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import gap_ratios
-from quadma import AngularDiscretization, hex_angles, l1_angles, uniform_angles
+from quadma import AngularDiscretization, hex_angles, l1_angles, simpson_weights, uniform_angles
 
 
 def test_hex_angles():
@@ -64,6 +64,15 @@ def test_gaps_sum_to_pi():
 def test_quasi_uniformity_bounded_by_2_2():
     for K in range(2, 65):
         assert l1_angles(K).quasi_uniformity <= 2.2
+
+
+def test_l1_gaps_lie_between_one_and_two_over_k():
+    # the bound that keeps every Simpson weight positive, so the angles command cannot fail
+    for K in range(1, 513):
+        d = l1_angles(K)
+        assert np.all((1.0 < K * d.gaps) & (K * d.gaps < 2.0))
+        assert d.quasi_uniformity < 2.0
+        assert np.all(simpson_weights(d).weights > 0.0)
 
 
 def test_quasi_uniformity_small_k_values():

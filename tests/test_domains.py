@@ -161,6 +161,29 @@ def test_non_finite_domain_values_are_rejected(build, named):
         build()
 
 
+@pytest.mark.parametrize("build, named", [
+    (lambda: square((0, 0), (1.0, 2.0)), "side"),
+    (lambda: rectangle((0, 0), (1, 2, 3)), "size"),
+    (lambda: rectangle((0, 0), [1.0]), "size"),
+    (lambda: rectangle((0, 0, 0), 1.0), "lower_left"),
+    (lambda: rectangle(0.0, 1.0), "lower_left"),
+    (lambda: disc((0, 0, 5), 1.0), "center"),
+    (lambda: disc((0, 0), (1.0, 1.0)), "radius"),
+    (lambda: disc((0, 0), "one"), "radius"),
+    (lambda: make_domain("square", side=[1.0, 1.0]), "side"),
+])
+def test_malformed_domain_shapes_are_rejected(build, named):
+    with pytest.raises(ValueError, match=named):
+        build()
+
+
+@pytest.mark.parametrize("size", [2.0, np.float64(2.0), np.array(2.0), 2, (2.0, 2.0),
+                                  np.array([2.0, 2.0])])
+def test_rectangle_takes_a_number_or_a_pair(size):
+    domain = rectangle((0, 0), size)
+    assert domain.bounding_box == (0.0, 2.0, 0.0, 2.0) and domain.name == "square"
+
+
 @pytest.mark.parametrize("box", [
     (0.0, 1.0, 0.0, np.inf),
     (np.nan, 1.0, 0.0, 1.0),
