@@ -32,6 +32,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: an int or a float, numpy's
+    included, and not a bool (a str or bytes never is)."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 class AngularDiscretization:
     """Ordered angles in ``[0, pi)`` with wraparound gap bookkeeping.
 

@@ -118,8 +118,14 @@ BENCHMARKS = {"ex1": ex1, "ex2": ex2, "ex3": ex3, "ex4": ex4}
 
 
 def max_error(grid: Grid, computed: np.ndarray, problem: BenchmarkProblem) -> float:
-    """Max-norm error against the exact solution over all grid points."""
-    return float(np.abs(np.asarray(computed) - problem.u_exact(grid.points)).max())
+    """Max-norm error against the exact solution over all grid points.
+
+    ``computed`` must have shape ``(n_points,)``, else ValueError.
+    """
+    computed = np.asarray(computed)
+    if computed.shape != (len(grid.points),):
+        raise ValueError(f"computed has shape {computed.shape}, expected ({len(grid.points)},)")
+    return float(np.abs(computed - problem.u_exact(grid.points)).max())
 
 
 def solve_problem(problem: BenchmarkProblem, backend: str, n: int, *,
@@ -179,10 +185,14 @@ def fit_order(ns, errors):
     than three of their residual standard deviations (a same-fit variance
     test cannot flag an outlier among only a handful of rows, since the
     outlier inflates the variance it is tested against).  Errors at
-    rounding level yield NaN; sizes must be finite and positive.
+    rounding level yield NaN; sizes must be finite and positive, one
+    error per size.
     """
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
+    if ns.ndim != 1 or ns.shape != errors.shape:
+        raise ValueError(f"need one error per grid size, got {ns.size} sizes and "
+                         f"{errors.size} errors")
     if not np.all(np.isfinite(ns) & (ns > 0.0)):
         raise ValueError(f"grid sizes must be finite and positive, got {ns.tolist()}")
     keep = np.isfinite(errors) & (errors > 0.0)

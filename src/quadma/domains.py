@@ -18,6 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+from .angles import _is_real
+
 __all__ = [
     "ConvexDomain",
     "rectangle",
@@ -71,17 +73,15 @@ class ConvexDomain:
 
 
 def _numbers(value, name: str, *shapes) -> list[float]:
-    """The floats in ``value``, an array-like of one of ``shapes``: ``()``
-    for a number (a 0-d array counts), ``(2,)`` for a pair.  Anything else
-    is a ValueError that names the argument ``name``."""
-    try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        array = None
-    if array is None or array.shape not in shapes:
+    """The floats in ``value``, an array-like of real numbers (see
+    ``angles._is_real``) of one of ``shapes``: ``()`` for a number (a 0-d
+    array counts), ``(2,)`` for a pair.  Anything else, a bool, str or bytes
+    included, is a ValueError that names the argument ``name``."""
+    entries = np.asarray(value, dtype=object)
+    if entries.shape not in shapes or not all(map(_is_real, entries.flat)):
         kinds = " or ".join("a pair of numbers" if shape else "a number" for shape in shapes)
         raise ValueError(f"{name} must be {kinds}, got {value!r}")
-    return array.ravel().tolist()
+    return entries.astype(float).ravel().tolist()
 
 
 def rectangle(lower_left=(0.0, 0.0), size=1.0) -> ConvexDomain:

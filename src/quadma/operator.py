@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .angles import _is_real
 from .meshing import Grid
 from .quadrature import QuadratureRule, simpson_weights, trapezoid_weights
 
@@ -61,6 +62,8 @@ class SchemeParams:
     quadrature: QuadratureRule
 
     def __post_init__(self):
+        if not _is_real(self.epsilon):
+            raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
         if not EPSILON_MIN <= self.epsilon <= EPSILON_MAX:
             raise ValueError(f"epsilon must be finite and in [{EPSILON_MIN:.3g}, "
                              f"{EPSILON_MAX:.3g}], got {self.epsilon}")
@@ -77,15 +80,21 @@ def default_params(grid: Grid, epsilon: float | None = None) -> SchemeParams:
     return SchemeParams(default if epsilon is None else epsilon, rule)
 
 
-def _evaluate(func, pts: np.ndarray) -> np.ndarray:
+def _evaluate(func, pts: np.ndarray, name: str) -> np.ndarray:
     """Evaluate a (possibly scalar-returning) field on a point array.
 
     ``func`` may also be the field's values there already, which pass
-    through unchanged.
+    through unchanged.  Values of another shape than ``(len(pts),)`` or a
+    scalar are a ValueError that names the field ``name``.
     """
     vals = np.asarray(func(pts) if callable(func) else func, dtype=float)
     # values of the right shape, which a Newton solve passes to every residual, need no view
-    return vals if vals.shape == (len(pts),) else np.broadcast_to(vals, (len(pts),))
+    if vals.shape == (len(pts),):
+        return vals
+    if vals.shape != ():
+        raise ValueError(f"{name} gave values of shape {vals.shape} at {len(pts)} points, "
+                         f"expected ({len(pts)},) or a scalar")
+    return np.broadcast_to(vals, (len(pts),))
 
 
 def sdd_matrix(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -203,8 +212,8 @@ def scheme_apply(grid: Grid, u: np.ndarray, params: SchemeParams, f, g) -> np.nd
 
     res = np.empty(grid.n_points)
     ni = grid.n_interior
-    res[:ni] = interior_vals + _evaluate(f, grid.points[:ni])
-    res[ni:] = u[ni:] - _evaluate(g, grid.points[ni:])
+    res[:ni] = interior_vals + _evaluate(f, grid.points[:ni], "f")
+    res[ni:] = u[ni:] - _evaluate(g, grid.points[ni:], "g")
     return res
 
 

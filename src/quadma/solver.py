@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .angles import _is_integer
+from .angles import _is_integer, _is_real
 from .meshing import Grid, build_grid
 from .operator import SchemeParams, _evaluate, _laplacian_system, assemble_jacobian, \
     default_params, scheme_apply, sdd_matrix
@@ -60,6 +60,9 @@ class NewtonConfig:
     max_iterations: int = 50
 
     def __post_init__(self):
+        if not _is_real(self.residual_threshold_factor):
+            raise ValueError("residual_threshold_factor must be a real number, "
+                             f"got {self.residual_threshold_factor!r}")
         if not 0.0 < self.residual_threshold_factor < np.inf:
             raise ValueError("residual_threshold_factor must be finite and positive")
         if not (_is_integer(self.max_iterations) and self.max_iterations >= 0):
@@ -96,8 +99,8 @@ def _field_values(grid: Grid, f, g) -> tuple[np.ndarray, np.ndarray]:
     """``f`` at the interior points and ``g`` at the boundary points; a
     non-finite value of either is a ValueError naming the field."""
     ni = grid.n_interior
-    fv = _evaluate(f, grid.points[:ni])
-    gv = _evaluate(g, grid.points[ni:])
+    fv = _evaluate(f, grid.points[:ni], "f")
+    gv = _evaluate(g, grid.points[ni:], "g")
     for name, values, where in (("f", fv, "interior"), ("g", gv, "boundary")):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} must be finite at the {where} points")
@@ -405,7 +408,7 @@ def interpolate_to_grid(coarse_grid: Grid, coarse_values: np.ndarray, fine_grid:
     uxx, uxy, uyy = hessian[k].T
     vals = (coarse_values[k] + ux * dx + uy * dy
             + 0.5 * (uxx * dx * dx + 2.0 * uxy * dx * dy + uyy * dy * dy))
-    return np.concatenate([vals, _evaluate(g, fine_grid.points[ni:])])
+    return np.concatenate([vals, _evaluate(g, fine_grid.points[ni:], "g")])
 
 
 def coarse_to_fine(problem, fine_grid: Grid, coarse_n: int | None = None, *,

@@ -90,8 +90,7 @@ def boundary_crossings_reference(domain, origins, directions, brackets, iteratio
     return 0.5 * (lo + hi)
 
 
-def augment_boundary_reference(domain, interior_points, angles, plus_index, minus_index,
-                               h_plus, h_minus, *, dedup_tol):
+def augment_boundary_reference(domain, interior_points, angles, index, lengths, *, dedup_tol):
     """``meshing.augment_boundary`` with its end points merged one at a time.
 
     Bisects every missing arm by :func:`boundary_crossings_reference`, then
@@ -104,11 +103,11 @@ def augment_boundary_reference(domain, interior_points, angles, plus_index, minu
 
     interior_points = np.asarray(interior_points, dtype=float)
     n_int = len(interior_points)
-    missing = np.stack([plus_index < 0, minus_index < 0], axis=2)
+    missing = np.stack([index[0] < 0, index[1] < 0], axis=2)
     rows, cols, signs = np.nonzero(missing)
     rays = angles.directions()[cols] * np.where(signs == 0, 1.0, -1.0)[:, None]
-    ts = np.where(signs == 0, h_plus[rows, cols], h_minus[rows, cols])
-    cross = np.where(signs == 0, plus_index[rows, cols], minus_index[rows, cols]) != NEAR_NODE
+    ts = lengths[signs, rows, cols]
+    cross = index[signs, rows, cols] != NEAR_NODE
     origins = interior_points[rows]
     ts[cross] = boundary_crossings_reference(domain, origins[cross], rays[cross], ts[cross])
     crossings = origins + ts[:, None] * rays
@@ -131,12 +130,10 @@ def augment_boundary_reference(domain, interior_points, angles, plus_index, minu
         return k
 
     for m in range(len(rows)):
-        index, arm = (plus_index, h_plus) if signs[m] == 0 else (minus_index, h_minus)
-        index[rows[m], cols[m]] = n_int + lookup_or_insert(crossings[m])
-        arm[rows[m], cols[m]] = ts[m]
+        index[signs[m], rows[m], cols[m]] = n_int + lookup_or_insert(crossings[m])
+        lengths[signs[m], rows[m], cols[m]] = ts[m]
 
-    points = np.vstack([interior_points, np.array(inserted).reshape(-1, 2)])
-    return points, plus_index, minus_index, h_plus, h_minus
+    return np.vstack([interior_points, np.array(inserted).reshape(-1, 2)])
 
 
 def rectangle_reference(lower_left=(0.0, 0.0), size=1.0) -> ConvexDomain:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import gap_ratios
-from quadma import AngularDiscretization, hex_angles, l1_angles, simpson_weights, uniform_angles
+from quadma import (AngularDiscretization, NewtonConfig, build_grid, default_params,
+                    default_stencil_depth, disc, hex_angles, l1_angles, rectangle,
+                    simpson_weights, square, uniform_angles)
 
 
 def test_hex_angles():
@@ -51,6 +53,40 @@ def test_angle_counts_must_be_integers(value):
         uniform_angles(value)
     assert len(l1_angles(np.int64(3))) == 6
     assert len(uniform_angles(np.int32(4))) == 4
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: square(("0", "0"), 2.0), "lower_left"),
+    (lambda: square((0, 0), "2"), "side"),
+    (lambda: square((0, 0), np.True_), "side"),
+    (lambda: disc((0, 0), True), "radius"),
+    (lambda: disc((0, b"0"), 1.0), "center"),
+    (lambda: rectangle((False, 0), 1.5), "lower_left"),
+    (lambda: rectangle((0, 0), b"1.5"), "size"),
+    (lambda: rectangle((0, 0), (1.0, True)), "size"),
+    (lambda: rectangle(np.array([True, False]), 1.0), "lower_left"),
+    (lambda: default_params(build_grid(square(), "hex", 8), True), "epsilon"),
+    (lambda: default_params(build_grid(square(), "hex", 8), "1e-3"), "epsilon"),
+    (lambda: NewtonConfig(residual_threshold_factor=True), "residual_threshold_factor"),
+    (lambda: NewtonConfig(residual_threshold_factor="1"), "residual_threshold_factor"),
+    (lambda: default_stencil_depth(64, c_K=True), "c_K"),
+    (lambda: default_stencil_depth(64, c_K="1"), "c_K"),
+], ids=["square-str-corner", "square-str-side", "square-numpy-bool-side", "disc-bool-radius",
+        "disc-bytes-center", "rectangle-bool-corner", "rectangle-bytes-size",
+        "rectangle-bool-height", "rectangle-bool-array-corner", "epsilon-bool", "epsilon-str",
+        "threshold-bool", "threshold-str", "c_K-bool", "c_K-str"])
+def test_values_that_are_not_real_numbers_are_rejected(build, named):
+    # a real number is an int or a float, numpy's included, as the integer
+    # rule above has it; a bool, str or bytes was parsed as a number before
+    with pytest.raises(ValueError, match=named):
+        build()
+
+
+def test_numpy_real_numbers_are_taken():
+    assert square((np.int64(0), np.float32(0.0)), np.float64(2.0)).bounding_box == (0, 2, 0, 2)
+    assert default_params(build_grid(square(), "hex", 8), np.float64(1e-3)).epsilon == 1e-3
+    assert NewtonConfig(residual_threshold_factor=np.int64(2)).residual_threshold_factor == 2
+    assert default_stencil_depth(64, c_K=np.float64(1.0)) == 4
 
 
 def test_gaps_sum_to_pi():

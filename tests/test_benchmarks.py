@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import quadma.benchmarks as bm
-from quadma import (BENCHMARKS, NewtonConfig, SolveReport, convergence_study, ex1, ex2, ex3,
-                    ex4, fit_order, max_error, solve_problem)
+from quadma import (BENCHMARKS, NewtonConfig, SolveReport, build_grid, convergence_study, ex1,
+                    ex2, ex3, ex4, fit_order, max_error, solve_problem)
 
 
 def val(func, x, y):
@@ -105,6 +107,17 @@ def test_max_error_definition(cart_grid):
     assert max_error(FakeGrid, exact + 0.25, p) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (223,), (225,), (224, 1), (1, 224)])
+def test_max_error_rejects_a_wrongly_shaped_computed(shape):
+    # all but the last two were broadcast against u_exact and gave a number
+    p = ex1()
+    grid = build_grid(p.domain, "hex", 16)
+    assert grid.n_points == 224
+    with pytest.raises(ValueError, match=rf"computed has shape {re.escape(str(shape))}, "
+                                         r"expected \(224,\)"):
+        max_error(grid, np.zeros(shape), p)
+
+
 def test_error_decreases_with_refinement_cartesian():
     p = ex1()
     g16, v16, _, _ = solve_problem(p, "cartesian", 16)
@@ -137,6 +150,12 @@ def test_fit_order_rejects_sizes_that_are_not_positive(ns):
     # a zero size fed log(0) to the least-squares fit, which failed in LAPACK
     with pytest.raises(ValueError, match="finite and positive"):
         fit_order(ns, [1e-3, 1e-4])
+
+
+def test_fit_order_needs_one_error_per_size():
+    # the lengths were compared nowhere: numpy's boolean index raised IndexError
+    with pytest.raises(ValueError, match="3 sizes and 2 errors"):
+        fit_order([16, 32, 64], [1e-2, 1e-3])
 
 
 def test_study_with_exact_stub(monkeypatch):

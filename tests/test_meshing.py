@@ -243,6 +243,22 @@ def test_grid_build_sdf_calls(domain, backend, n, K):
     assert len(shapes) <= 65
 
 
+@pytest.mark.parametrize("backend, K", [("cartesian", 3), ("hex", None)])
+@pytest.mark.parametrize("domain", [square((0.0, 0.0), 1.0), disc((0.3, -0.2), 0.8)],
+                         ids=["square", "disc"])
+def test_stencil_tables_are_contiguous_intp_and_float64(domain, backend, K):
+    # sdd_matrix gathers through the index tables with take and weights by
+    # cp and cm; another layout or index type costs a copy or a cast on
+    # every residual and Jacobian
+    grid = build_grid(domain, backend, 20, K)
+    shape = (grid.n_interior, len(grid.angles))
+    for name, dtype in [("plus_index", np.intp), ("minus_index", np.intp), ("h_plus", np.float64),
+                        ("h_minus", np.float64), ("cp", np.float64), ("cm", np.float64)]:
+        table = getattr(grid, name)
+        assert table.shape == shape and table.dtype == dtype, name
+        assert table.flags.c_contiguous, name
+
+
 def test_boundary_dedup_tolerance_and_chains():
     # arms at angle 0 that end at tiling nodes within the clearance put
     # their end points exactly at origin + (t, 0); no bisection runs
@@ -251,23 +267,25 @@ def test_boundary_dedup_tolerance_and_chains():
                      [2.0, 0.0], [2.0 + 1.2 * tol, 0.5 * tol], [2.0, 0.9 * tol]])
     interior_points = np.column_stack([np.zeros(len(ends)), ends[:, 1]])
     angles = hex_angles()
-    full = np.zeros((len(ends), len(angles)), dtype=np.int64)
-    plus_index, h_plus = full.copy(), np.ones(full.shape)
-    plus_index[:, 0] = meshing.NEAR_NODE
-    h_plus[:, 0] = ends[:, 0]
+    index = np.zeros((2, len(ends), len(angles)), dtype=np.int64)
+    lengths = np.ones(index.shape)
+    index[0, :, 0] = meshing.NEAR_NODE
+    lengths[0, :, 0] = ends[:, 0]
 
     def augment(fn):
-        return fn(square((0.0, -1.0), 3.0), interior_points, angles, plus_index.copy(),
-                  full.copy(), h_plus.copy(), np.ones(full.shape), dedup_tol=tol)
+        table = index.copy()
+        points = fn(square((0.0, -1.0), 3.0), interior_points, angles, table,
+                    lengths.copy(), dedup_tol=tol)
+        return points, table[0]
 
     n = len(ends)
-    points, index, *_ = augment(meshing.augment_boundary)
+    points, plus_index = augment(meshing.augment_boundary)
     # {0, 1, 2} is one chain, {3, 5} one pair; groups numbered by first end point
-    assert np.array_equal(index[:, 0] - n, [0, 0, 0, 1, 2, 1])
+    assert np.array_equal(plus_index[:, 0] - n, [0, 0, 0, 1, 2, 1])
     assert np.array_equal(points[n:], ends[[0, 3, 4]])
     # merging greedily, first come first served, splits the chain: point 2 is
     # more than tol from point 0, the one stored
-    _, greedy, *_ = augment(augment_boundary_reference)
+    _, greedy = augment(augment_boundary_reference)
     assert np.array_equal(greedy[:, 0] - n, [0, 0, 1, 2, 3, 2])
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -385,6 +386,37 @@ def test_non_finite_data_is_a_value_error(field, value):
                       poisson_init(grid, prob.f, prob.g))
     with pytest.raises(ValueError, match=match):
         solve_problem(bad, "hex", 16)
+
+
+@pytest.mark.parametrize("field, shape", [("f", lambda n: (n, 2)), ("f", lambda n: (3,)),
+                                          ("g", lambda n: (n, 1)), ("g", lambda n: (n + 1,))],
+                         ids=["f-n-by-2", "f-3-values", "g-n-by-1", "g-n-plus-1"])
+def test_a_field_of_the_wrong_shape_is_a_value_error(field, shape):
+    # numpy's broadcast error named neither the field nor the shape it needs
+    prob = ex1()
+    grid = build_grid(prob.domain, "hex", 16)
+    assert grid.n_interior == 98
+    n = 98 if field == "f" else grid.n_points - 98
+    data = {"f": prob.f, "g": prob.g, field: lambda p: np.ones(shape(len(p)))}
+    match = rf"{field} gave values of shape {re.escape(str(shape(n)))} at {n} points, " \
+            rf"expected \({n},\) or a scalar"
+    u = poisson_init(grid, prob.f, prob.g)
+    with pytest.raises(ValueError, match=match):
+        scheme_apply(grid, u, default_params(grid), data["f"], data["g"])
+    with pytest.raises(ValueError, match=match):
+        poisson_init(grid, data["f"], data["g"])
+    with pytest.raises(ValueError, match=match):
+        solve_problem(BenchmarkProblem("bad", prob.domain, prob.u_exact, **data), "hex", 16)
+
+
+def test_scalar_fields_broadcast(hex_grid):
+    u = poisson_init(hex_grid, lambda p: 1.0, lambda p: np.float64(0.5))
+    full = poisson_init(hex_grid, lambda p: np.ones(len(p)), lambda p: np.full(len(p), 0.5))
+    assert np.array_equal(u, full)
+    params = default_params(hex_grid)
+    assert np.array_equal(scheme_apply(hex_grid, u, params, 1.0, np.float64(0.5)),
+                          scheme_apply(hex_grid, u, params, np.ones(hex_grid.n_interior),
+                                       np.full(hex_grid.n_points - hex_grid.n_interior, 0.5)))
 
 
 def test_solution_independent_of_start():
