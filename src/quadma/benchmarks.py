@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .angles import _is_real
 from .domains import ConvexDomain, rectangle
 from .meshing import Grid, build_grid, default_stencil_depth
 from .operator import default_params
@@ -185,9 +186,13 @@ def fit_order(ns, errors):
     than three of their residual standard deviations (a same-fit variance
     test cannot flag an outlier among only a handful of rows, since the
     outlier inflates the variance it is tested against).  Errors at
-    rounding level yield NaN; sizes must be finite and positive, one
-    error per size.
+    rounding level yield NaN.  Every size and error must be a real number
+    (see ``angles._is_real``), the sizes distinct, finite and positive,
+    with one error per size, else ValueError.
     """
+    for name, values in (("ns", ns), ("errors", errors)):
+        if not all(map(_is_real, np.asarray(values, dtype=object).flat)):
+            raise ValueError(f"{name} must be real numbers, got {values!r}")
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if ns.ndim != 1 or ns.shape != errors.shape:
@@ -195,6 +200,8 @@ def fit_order(ns, errors):
                          f"{errors.size} errors")
     if not np.all(np.isfinite(ns) & (ns > 0.0)):
         raise ValueError(f"grid sizes must be finite and positive, got {ns.tolist()}")
+    if len(np.unique(ns)) < len(ns):
+        raise ValueError(f"grid sizes ns must be distinct, got {ns.tolist()}")
     keep = np.isfinite(errors) & (errors > 0.0)
     ns, errors = ns[keep], errors[keep]
     if len(ns) < 2 or np.all(errors < 1e-13):

@@ -2,9 +2,11 @@
 
 A domain is represented by a callable returning the signed distance to its
 boundary (negative strictly inside, zero on the boundary, positive outside)
-together with an axis-aligned bounding box.  Mesh construction only ever
-queries the signed distance, so arbitrary convex shapes can be supplied by
-the user; ready-made rectangles and discs cover the common cases.
+together with an axis-aligned bounding box, and optionally the exact
+boundary crossing of rays.  Mesh construction needs nothing more: it
+bisects the signed distance where no crossing is given, so arbitrary
+convex shapes can be supplied by the user; ready-made rectangles and discs
+cover the common cases, with their crossings in closed form.
 
 All geometric callables are vectorized: a "point array" has shape
 ``(..., 2)`` and signed distances come back with shape ``(...,)``.
@@ -39,9 +41,10 @@ class ConvexDomain:
         Maps point arrays of shape ``(..., 2)`` to signed distances of
         shape ``(...,)``.  Must be negative strictly inside, zero on the
         boundary and positive outside, and 1-Lipschitz.  The mesh
-        builders call it once on the tiling, then once per bisection
-        pass (54 to 62 on the benchmark grids, see ``BISECTION_PASSES``)
-        on every stencil arm that exits the domain, so its cost is grid
+        builders call it once on the tiling.  A domain without a
+        ``crossing`` is also bisected: one more call per bisection pass
+        (54 to 62 on the benchmark grids, see ``BISECTION_PASSES``) on
+        every stencil arm that exits the domain, so its cost is grid
         build cost.  The bisection passes it a transposed view, an
         ``(m, 2)`` array whose columns ``p[..., 0]`` and ``p[..., 1]``
         are contiguous: write it on those coordinate planes, as the
@@ -54,22 +57,47 @@ class ConvexDomain:
         ValueError.
     name : str
         Short label used in reports and dumped files.
+    crossing : callable or None
+        The exact boundary crossing of rays, if the shape has one in
+        closed form: ``crossing(origins, directions)`` maps ``(m, 2)``
+        interior origins and unit directions to the ``(m,)`` distances
+        ``t > 0`` at which ``origins + t * directions`` meets the
+        boundary, to within a few ulps of the coordinates.  It gets the
+        same transposed views as the bisection's sdf calls and must not
+        raise a floating-point warning.  The mesh builders call it once,
+        on every stencil arm that exits the domain, and clamp each result
+        to the arm's nominal length; without it they bisect the sdf
+        (``_boundary_crossings``).  ``rectangle``, ``square`` and
+        ``disc`` supply one.
     """
 
     sdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     bounding_box: tuple[float, float, float, float]
     name: str = "custom"
+    crossing: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(default=None,
+                                                                         repr=False)
 
     def __post_init__(self):
+        if not callable(self.sdf):
+            raise ValueError(f"sdf must be callable, got {self.sdf!r}")
+        if self.crossing is not None and not callable(self.crossing):
+            raise ValueError(f"crossing must be callable or None, got {self.crossing!r}")
         box = tuple(self.bounding_box)
         if not (len(box) == 4 and all(np.isfinite(box)) and box[0] < box[1] and box[2] < box[3]):
             raise ValueError("bounding box must be four finite numbers (xmin, xmax, ymin, ymax) "
                              f"with xmin < xmax and ymin < ymax, got {box}")
 
     def signed_distance(self, p) -> np.ndarray:
-        """Signed distance from ``p`` (shape ``(..., 2)``) to the boundary."""
+        """Signed distance from ``p`` (shape ``(..., 2)``) to the boundary.
+
+        A result of any shape but ``p.shape[:-1]`` is a ValueError.
+        """
         p = np.asarray(p, dtype=float)
-        return np.asarray(self.sdf(p), dtype=float)
+        dist = np.asarray(self.sdf(p), dtype=float)
+        if dist.shape != p.shape[:-1]:
+            raise ValueError(f"sdf must return shape {p.shape[:-1]} for points of shape "
+                             f"{p.shape}, got shape {dist.shape}")
+        return dist
 
 
 def _numbers(value, name: str, *shapes) -> list[float]:
@@ -110,7 +138,19 @@ def rectangle(lower_left=(0.0, 0.0), size=1.0) -> ConvexDomain:
         ox, oy = np.maximum(qx, 0.0), np.maximum(qy, 0.0)
         return np.sqrt(ox * ox + oy * oy) + np.minimum(np.maximum(qx, qy), 0.0)
 
-    return ConvexDomain(sdf, (x0, x0 + w, y0, y0 + h), name="square" if w == h else "rectangle")
+    x1, y1 = x0 + w, y0 + h
+
+    # the nearest side ahead: per axis, the distance to the side the ray
+    # heads for over the speed along the axis, inf where that speed is 0
+    def crossing(o, d):
+        ox, oy, dx, dy = o[..., 0], o[..., 1], d[..., 0], d[..., 1]
+        with np.errstate(divide="ignore"):
+            tx = np.where(dx > 0.0, x1 - ox, ox - x0) / np.abs(dx)
+            ty = np.where(dy > 0.0, y1 - oy, oy - y0) / np.abs(dy)
+        return np.minimum(tx, ty)
+
+    return ConvexDomain(sdf, (x0, x1, y0, y1), name="square" if w == h else "rectangle",
+                        crossing=crossing)
 
 
 def square(lower_left=(0.0, 0.0), side=1.0) -> ConvexDomain:
@@ -130,7 +170,22 @@ def disc(center=(0.0, 0.0), radius=1.0) -> ConvexDomain:
         dx, dy = p[..., 0] - cx, p[..., 1] - cy
         return np.sqrt(dx * dx + dy * dy) - r
 
-    return ConvexDomain(sdf, (cx - r, cx + r, cy - r, cy + r), name="disc")
+    # the positive root of t^2 + 2bt + c, b = d.(o - center) and
+    # c = |o - center|^2 - r^2 < 0: root - b, or -c / (b + root) where
+    # b > 0, which would cancel in root - b
+    def crossing(o, d):
+        px, py = o[..., 0] - cx, o[..., 1] - cy
+        b = d[..., 0] * px + d[..., 1] * py
+        c = px * px + py * py - r * r
+        root = np.sqrt(b * b - c)
+        t = root - b
+        np.divide(-c, b + root, out=t, where=b > 0.0)
+        return t
+
+    return ConvexDomain(sdf, (cx - r, cx + r, cy - r, cy + r), name="disc", crossing=crossing)
+
+
+_BUILDERS = {"square": square, "rectangle": rectangle, "disc": disc}
 
 
 def make_domain(name: str, **params) -> ConvexDomain:
@@ -141,10 +196,9 @@ def make_domain(name: str, **params) -> ConvexDomain:
     ``radius``; omitted ones keep their defaults.  An unknown name, or a
     parameter the named domain does not take, raises ``ValueError``.
     """
-    builders = {"square": square, "rectangle": rectangle, "disc": disc}
-    if not isinstance(name, str) or name not in builders:
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise ValueError(f"unknown domain name {name!r} (expected 'square', 'rectangle' or 'disc')")
-    builder = builders[name]
+    builder = _BUILDERS[name]
     accepted = list(inspect.signature(builder).parameters)
     unknown = sorted(set(params) - set(accepted))
     if unknown:

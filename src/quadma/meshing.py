@@ -8,13 +8,14 @@ builds every grid from it.  Interior nodes are the sites deeper inside the
 domain than the boundary clearance (signed distance < -CLEARANCE*h).  An
 arm whose target site is again interior keeps its full tiling length; an
 arm that exits the domain is shortened to the point where its ray crosses
-the boundary, and that crossing becomes a boundary point.  A target site
-inside the domain but within the clearance of its boundary is not interior:
-the arm ends there, and the site becomes a boundary point, where ``u = g``
-as on the boundary itself.  So every interior node has, for every stencil
-angle, a pair of exactly aligned neighbors within the stencil width, and
-every boundary point has signed distance in ``[-CLEARANCE*h, 0]`` up to
-roundoff.
+the boundary, and that crossing becomes a boundary point.  The crossing is
+the domain's closed form where it has one (rectangles and discs), else a
+bisection of its signed distance.  A target site inside the domain but
+within the clearance of its boundary is not interior: the arm ends there,
+and the site becomes a boundary point, where ``u = g`` as on the boundary
+itself.  So every interior node has, for every stencil angle, a pair of
+exactly aligned neighbors within the stencil width, and every boundary
+point has signed distance in ``[-CLEARANCE*h, 0]`` up to roundoff.
 
 The clearance keeps arms long: an arm runs from signed distance below
 ``-CLEARANCE*h`` to signed distance at least ``-CLEARANCE*h``, and the
@@ -241,8 +242,9 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     neighbor is outside.  End points within ``dedup_tol`` of each other in
     the max norm, chains included, become one boundary point, numbered by
     the first arm (in that order) that ends there.  The work is vectorized
-    over all arms: one bisection for every crossing, and one sort-and-sweep
-    (``_merge_labels``) for the groups of end points.
+    over all arms: one call of the domain's ``crossing``, clamped to the
+    nominal lengths, or without one a bisection, for every crossing; and
+    one sort-and-sweep (``_merge_labels``) for the groups of end points.
 
     Completes both tables in place and returns the full point array,
     interior first, boundary appended.
@@ -266,7 +268,9 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     # crossing is sought, since the crossing lies beyond the neighbor.
     cross = index.take(slot) != NEAR_NODE
     ts = lengths.take(slot)
-    ts[cross] = _boundary_crossings(domain, origins[:, cross].T, rays[:, cross].T, ts[cross])
+    o, d, brackets = origins[:, cross].T, rays[:, cross].T, ts[cross]
+    ts[cross] = (_boundary_crossings(domain, o, d, brackets) if domain.crossing is None
+                 else np.minimum(domain.crossing(o, d), brackets))
     crossings = (origins + ts * rays).T
 
     # groups are numbered in order of their first end point

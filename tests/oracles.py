@@ -93,9 +93,11 @@ def boundary_crossings_reference(domain, origins, directions, brackets, iteratio
 def augment_boundary_reference(domain, interior_points, angles, index, lengths, *, dedup_tol):
     """``meshing.augment_boundary`` with its end points merged one at a time.
 
-    Bisects every missing arm by :func:`boundary_crossings_reference`, then
-    merges the end points in arm order, greedily, first come first served,
-    into the boundary points inserted so far: a hash grid of ``dedup_tol``
+    Cuts every missing arm at the domain's ``crossing``, clamped to the
+    arm's nominal length, or, on a domain without one, bisects it by
+    :func:`boundary_crossings_reference`; then merges the end points in
+    arm order, greedily, first come first served, into the boundary
+    points inserted so far: a hash grid of ``dedup_tol``
     cells finds any within ``dedup_tol`` in the max norm, and the end point
     takes the first one found or is appended.
     """
@@ -109,7 +111,10 @@ def augment_boundary_reference(domain, interior_points, angles, index, lengths, 
     ts = lengths[signs, rows, cols]
     cross = index[signs, rows, cols] != NEAR_NODE
     origins = interior_points[rows]
-    ts[cross] = boundary_crossings_reference(domain, origins[cross], rays[cross], ts[cross])
+    if domain.crossing is None:
+        ts[cross] = boundary_crossings_reference(domain, origins[cross], rays[cross], ts[cross])
+    else:
+        ts[cross] = np.minimum(domain.crossing(origins[cross], rays[cross]), ts[cross])
     crossings = origins + ts[:, None] * rays
 
     inserted = []

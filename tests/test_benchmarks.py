@@ -158,6 +158,21 @@ def test_fit_order_needs_one_error_per_size():
         fit_order([16, 32, 64], [1e-2, 1e-3])
 
 
+@pytest.mark.parametrize("ns, errors, named", [
+    ([16, 32], ["1e-2", "1e-3"], "errors must be real numbers"),
+    ([True, 32], [1e-2, 1e-3], "ns must be real numbers"),
+    (["16", "32"], [1e-2, 1e-3], "ns must be real numbers"),
+    ([16, 32], [1e-2, b"1e-3"], "errors must be real numbers"),
+    ([16, 16], [1e-2, 1e-3], "ns must be distinct"),
+    ([16, 32, 16], [1e-2, 1e-3, 1e-4], "ns must be distinct"),
+])
+def test_fit_order_rejects_what_is_not_a_distinct_size_or_an_error(ns, errors, named):
+    # strings and bools were parsed as numbers (order 3.32 and 0.66), and a
+    # repeated size made polyfit raise RankWarning, then return 1.04
+    with pytest.raises(ValueError, match=named):
+        fit_order(ns, errors)
+
+
 def test_study_with_exact_stub(monkeypatch):
     p = ex1()
 

@@ -1,11 +1,13 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import disc_reference, rectangle_reference
-from quadma import ConvexDomain, disc, make_domain, rectangle, square
-from quadma.domains import _boundary_crossings
+from quadma import ConvexDomain, build_grid, disc, make_domain, rectangle, square
+from quadma.domains import _BUILDERS, _boundary_crossings
 
 
 def test_square_signed_distance_examples(unit_square):
@@ -128,6 +130,73 @@ def test_boundary_crossings_monotone_in_origin(unit_square):
     origins = np.column_stack([[0.1, 0.3, 0.5, 0.7, 0.9], np.full(5, 0.5)])
     ts = _crossing_distances(unit_square, origins, np.tile([1.0, 0.0], (5, 1)))
     assert np.all(np.diff(ts) < 0)
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.75, 1.5])
+def test_disc_crossing_keeps_short_arms_accurate(radius):
+    # Origins at depth 2**-k inside a disc about 0, 10 to 25 bits below its
+    # radius, where |o|**2 - r**2 is exact: the crossing of a ray
+    # leaving at 0 to 44 degrees from the normal is accurate to a few ulps
+    # of itself, as long as b = d.o > 0 takes -c / (b + root), which does
+    # not cancel; root - b would keep only about 53 - k bits.
+    rays = [((radius - 2.0 ** -k) * n, np.cos(a) * n + np.sin(a) * n[::-1] * [-1.0, 1.0])
+            for k in range(10, 26) for n in np.vstack([np.eye(2), -np.eye(2)])
+            for a in np.radians([0.0, 30.0, -30.0, 44.0, -44.0])]
+    origins, directions = (np.array(v, dtype=float) for v in zip(*rays))
+    t = disc((0.0, 0.0), radius).crossing(origins, directions)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r = Decimal(radius)
+        for o, d, got in zip(origins.tolist(), directions.tolist(), t.tolist()):
+            b = Decimal(d[0]) * Decimal(o[0]) + Decimal(d[1]) * Decimal(o[1])
+            c = Decimal(o[0]) ** 2 + Decimal(o[1]) ** 2 - r * r
+            exact = (b * b - c).sqrt() - b
+            assert abs(Decimal(got) - exact) <= 4 * Decimal(np.finfo(float).eps) * exact
+
+
+def test_rectangle_crossing_along_the_axes():
+    # a direction component of 0 (or -0) puts that axis's sides at inf, with
+    # no floating-point warning, which the test run would raise
+    origins = np.tile([0.25, 0.5], (6, 1))
+    directions = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-0.0, 1.0],
+                           [1.0, -0.0]])
+    t = square((0.0, 0.0), 1.0).crossing(origins, directions)
+    assert np.array_equal(t, [0.75, 0.25, 0.5, 0.5, 0.5, 0.75])
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_every_named_domain_has_a_crossing(name):
+    # a built-in shape that lost its closed form would fall back to the
+    # bisection, 54 to 62 sdf passes, without a word
+    assert make_domain(name).crossing is not None
+
+
+_UNIT_DISC_BOX = (-1.0, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("sdf, crossing, named", [
+    (None, None, "sdf must be callable"),
+    ("disc", None, "sdf must be callable"),
+    (lambda p: np.zeros(p.shape[:-1]), 1.0, "crossing must be callable or None"),
+], ids=["no sdf", "a string", "a number as crossing"])
+def test_convex_domain_rejects_what_is_not_callable(sdf, crossing, named):
+    # a None sdf was accepted and failed in build_grid as "'NoneType'
+    # object is not callable"
+    with pytest.raises(ValueError, match=named):
+        ConvexDomain(sdf, _UNIT_DISC_BOX, crossing=crossing)
+
+
+@pytest.mark.parametrize("sdf, got", [
+    (lambda p: disc().sdf(p)[..., None], r"\(\d+, 1\)"),
+    (lambda p: -1.0, r"\(\)"),
+    (lambda p: np.array([-1.0, -1.0, 1.0]), r"\(3,\)"),
+], ids=["column", "scalar", "three values"])
+def test_signed_distance_of_the_wrong_shape_is_rejected(sdf, got):
+    # an (m, 1) or scalar result failed with numpy IndexErrors in the mesh
+    # builder, and three values read as "no interior tiling nodes"
+    domain = ConvexDomain(sdf, _UNIT_DISC_BOX)
+    with pytest.raises(ValueError, match=r"sdf must return shape \(\d+,\) .* got shape " + got):
+        build_grid(domain, "hex", 16)
 
 
 def test_make_domain(unit_square):

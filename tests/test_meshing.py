@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -105,12 +106,19 @@ def _assert_clearance(domain, backend, n):
     assert np.all(domain.signed_distance(g.points[g.interior]) < -CLEARANCE * g.h)
 
 
+def _sdf_only(domain):
+    """``domain`` without its ``crossing``: the mesh builders bisect its sdf."""
+    return ConvexDomain(domain.sdf, domain.bounding_box, domain.name)
+
+
 def _assert_same_grid_as_reference(domain, backend, n, K=None):
-    grid = build_grid(domain, backend, n, K)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(meshing, "augment_boundary", augment_boundary_reference)
-        ref = build_grid(domain, backend, n, K)
-    _assert_same_grids(grid, ref)
+    # on both crossing paths: the domain's closed form, and the bisection
+    for dom in (domain, _sdf_only(domain)):
+        grid = build_grid(dom, backend, n, K)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(meshing, "augment_boundary", augment_boundary_reference)
+            ref = build_grid(dom, backend, n, K)
+        _assert_same_grids(grid, ref)
 
 
 def _usable_depth(backend, n, K):
@@ -188,6 +196,31 @@ def test_grid_matches_golden_digest(domain, backend, n, K, expected):
     # non-square rectangle, and the benchmark's two fixed discs, whose
     # Cartesian grids (and the unit disc's hex grid) have arms ending at
     # clearance-band nodes.  A layout change hashes the arrays node-major.
+    # The domains are sdf-only, so these pin the bisection path.
+    assert _grid_digest(build_grid(_sdf_only(domain), backend, n, K)) == expected
+
+
+@pytest.mark.parametrize("domain,backend,n,K,expected", [
+    (square((-1.0, -1.0), 2.0), "cartesian", 72, 5,
+     "229d9bdd6169e9b9fbe8224b5cb0656455042e80562c911cc1ae86e35fdb0801"),
+    (square((-1.0, -1.0), 2.0), "hex", 64, None,
+     "4713e9521fab157843725841df98d9f5d2dd900099d5f4c0fffa451127acd7cb"),
+    (rectangle((-0.3, 0.1), (1.7, 0.9)), "cartesian", 33, None,
+     "991399640c94406a2c58ca9df78a96ff1aca01343ab6c6839f2fdcc803cf1a17"),
+    (rectangle((-0.3, 0.1), (1.7, 0.9)), "hex", 40, None,
+     "3a015c2ad9ec9583f0aed68061f36e22466d56ee9e92b2a8d3fb602880ed9118"),
+    (disc((0.1, 0.03), 0.77), "cartesian", 51, None,
+     "f62eb56aaf66241d7c1bb71e9ab206972fea3d3beef8faaf0b539c606758e650"),
+    (disc((0.1, 0.03), 0.77), "hex", 51, None,
+     "6c07fc823d5fa5aede8502c6e698c2034103b50c44f04bebabf270151ec2bd79"),
+    (disc((0.0, 0.0), 1.0), "cartesian", 79, None,
+     "a8b97ee8128301dc6bc12254b8ea0a443327d034df22a0ee681b03d40e6727ce"),
+    (disc((0.0, 0.0), 1.0), "hex", 79, None,
+     "de0ea2ad44d3c5464406ab1c436ecddb4aac87ea3620081c36a1dc4203b7f519"),
+])
+def test_grid_matches_golden_digest_closed_form(domain, backend, n, K, expected):
+    # the same grids on the built-in domains, whose arms are cut at the
+    # closed-form crossings
     assert _grid_digest(build_grid(domain, backend, n, K)) == expected
 
 
@@ -204,10 +237,10 @@ _corner = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
        n=st.integers(9, 48), K=st.one_of(st.none(), st.integers(1, 6)))
 def test_grid_matches_norm_reference_sdf(shape, backend, n, K):
     # the built-in signed distances build the same grids, bit for bit, as
-    # the np.linalg.norm formulas wrapped in a ConvexDomain
+    # the np.linalg.norm formulas wrapped in a ConvexDomain, both bisected
     (build, build_reference), anchor, size = shape
     K = _usable_depth(backend, n, K)
-    _assert_same_grids(build_grid(build(anchor, size), backend, n, K),
+    _assert_same_grids(build_grid(_sdf_only(build(anchor, size)), backend, n, K),
                        build_grid(build_reference(anchor, size), backend, n, K))
 
 
@@ -241,6 +274,21 @@ def test_grid_build_sdf_calls(domain, backend, n, K):
     arms = int(np.sum(grid.plus_index >= ni) + np.sum(grid.minus_index >= ni))
     assert 0 < passes[0][0] <= arms
     assert len(shapes) <= 65
+
+
+@pytest.mark.parametrize("domain,backend,n,K", [
+    (square((-1.0, -1.0), 2.0), "cartesian", 72, 5),
+    (square((-1.0, -1.0), 2.0), "hex", 64, None),
+    (disc((0.1, -0.05), 0.9), "cartesian", 80, None),
+    (disc((0.1, -0.05), 0.9), "hex", 80, None),
+])
+def test_grid_build_sdf_calls_with_crossing(domain, backend, n, K):
+    # a built-in domain keeps its crossing, so the sdf is called once, on
+    # the tiling, and no arm falls back to the bisection
+    counted, shapes = _counting(domain)
+    grid = build_grid(dataclasses.replace(domain, sdf=counted.sdf), backend, n, K)
+    assert len(shapes) == 1 and shapes[0][0] > grid.n_interior
+    assert np.any(grid.plus_index >= grid.n_interior)
 
 
 @pytest.mark.parametrize("backend, K", [("cartesian", 3), ("hex", None)])
@@ -325,16 +373,12 @@ def test_merge_labels_match_brute_force_components(points):
     assert np.array_equal(labels, merge_labels_reference(points, _MERGE_TOL))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(shape=st.sampled_from(["disc", "rectangle"]),
-       lower_left=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-       size=st.floats(0.3, 2.0), aspect=st.floats(0.3, 3.0), h=st.floats(1e-3, 0.2),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_boundary_crossings_match_plain_bisection(shape, lower_left, size, aspect, h, seed):
-    # stopping at the fixed point gives the same crossings, bit for bit,
-    # as all 80 halvings; rays start anywhere inside, or within
-    # CLEARANCE*h of the boundary and head out, and brackets are arm
-    # lengths or twice the bounding-box diagonal
+def _exiting_rays(shape, lower_left, size, aspect, h, seed):
+    """A disc or rectangle and rays from inside it: ``(domain, origins,
+    directions, brackets, near)``.  The rays start anywhere inside, or
+    (``near``) within CLEARANCE*h of the boundary and head out at 45
+    degrees or steeper, like mesh arms; brackets are arm lengths or twice
+    the bounding-box diagonal."""
     rng = np.random.default_rng(seed)
     if shape == "disc":
         center = np.array(lower_left)
@@ -366,6 +410,24 @@ def test_boundary_crossings_match_plain_bisection(shape, lower_left, size, aspec
     arm = domain.signed_distance(origins + h * directions) >= 0.0
     brackets[arm] = h
     assert arm.any()
+    return domain, origins, directions, brackets, np.arange(len(keep))[keep] < len(near)
+
+
+_rays = dict(shape=st.sampled_from(["disc", "rectangle"]),
+             lower_left=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+             size=st.floats(0.3, 2.0), aspect=st.floats(0.3, 3.0), h=st.floats(1e-3, 0.2),
+             seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**_rays)
+def test_boundary_crossings_match_plain_bisection(shape, lower_left, size, aspect, h, seed):
+    # stopping at the fixed point gives the same crossings, bit for bit,
+    # as all 80 halvings; rays start anywhere inside, or within
+    # CLEARANCE*h of the boundary and head out, and brackets are arm
+    # lengths or twice the bounding-box diagonal
+    domain, origins, directions, brackets, _ = _exiting_rays(shape, lower_left, size, aspect,
+                                                              h, seed)
     expected = boundary_crossings_reference(domain, origins, directions, brackets)
     assert np.array_equal(_boundary_crossings(domain, origins, directions, brackets), expected)
     # the rays are read as coordinate planes whatever the inputs' layout:
@@ -378,6 +440,22 @@ def test_boundary_crossings_match_plain_bisection(shape, lower_left, size, aspec
         assert np.array_equal(o, origins) and np.array_equal(d, directions)
         assert not (o.flags.c_contiguous and d.flags.c_contiguous)
         assert np.array_equal(_boundary_crossings(domain, o, d, brackets), expected)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**_rays)
+def test_closed_form_crossings_are_on_the_boundary(shape, lower_left, size, aspect, h, seed):
+    # the rectangle's and the disc's crossing lands within a few ulps of
+    # the boundary, inside the bracket, and on rays that leave like mesh
+    # arms within a few ulps of the bisection's crossing
+    domain, origins, directions, brackets, near = _exiting_rays(shape, lower_left, size, aspect,
+                                                                 h, seed)
+    ulp = np.finfo(float).eps * np.abs(domain.bounding_box).max()
+    t = domain.crossing(origins, directions)
+    assert np.all((0.0 < t) & (t <= brackets))
+    assert np.abs(domain.signed_distance(origins + t[:, None] * directions)).max() <= 4.0 * ulp
+    bisected = _boundary_crossings(domain, origins[near], directions[near], brackets[near])
+    assert np.abs(t[near] - bisected).max() <= 64.0 * ulp
 
 
 def test_hex_structure(hex_grid):
