@@ -41,20 +41,19 @@ class ConvexDomain:
         Maps point arrays of shape ``(..., 2)`` to signed distances of
         shape ``(...,)``.  Must be negative strictly inside, zero on the
         boundary and positive outside, and 1-Lipschitz.  The mesh
-        builders call it once on the tiling.  A domain without a
-        ``crossing`` is also bisected: one more call per bisection pass
-        (54 to 62 on the benchmark grids, see ``BISECTION_PASSES``) on
-        every stencil arm that exits the domain, so its cost is grid
-        build cost.  The bisection passes it a transposed view, an
-        ``(m, 2)`` array whose columns ``p[..., 0]`` and ``p[..., 1]``
-        are contiguous: write it on those coordinate planes, as the
-        built-in shapes do, rather than with
-        ``np.linalg.norm(..., axis=-1)``, whose reduction over the
-        length-2 axis costs several times the arithmetic.
+        builders call it once on the tiling, and on a domain without a
+        ``crossing`` once more per bisection pass (see
+        ``ray_crossings``), on every stencil arm that exits the domain,
+        so its cost is grid build cost.  Write it on the coordinate
+        planes ``p[..., 0]`` and ``p[..., 1]``, as the built-in shapes
+        do, rather than with ``np.linalg.norm(..., axis=-1)``, whose
+        reduction over the length-2 axis costs several times the
+        arithmetic; the points need not be C-ordered.
     bounding_box : tuple of float
         ``(xmin, xmax, ymin, ymax)`` containing the closure of the domain:
-        four finite numbers with ``xmin < xmax`` and ``ymin < ymax``, else
-        ValueError.
+        four real numbers (see ``angles._is_real``), finite, with
+        ``xmin < xmax`` and ``ymin < ymax``, else ValueError.  Stored as a
+        tuple of floats.
     name : str
         Short label used in reports and dumped files.
     crossing : callable or None
@@ -62,13 +61,10 @@ class ConvexDomain:
         closed form: ``crossing(origins, directions)`` maps ``(m, 2)``
         interior origins and unit directions to the ``(m,)`` distances
         ``t > 0`` at which ``origins + t * directions`` meets the
-        boundary, to within a few ulps of the coordinates.  It gets the
-        same transposed views as the bisection's sdf calls and must not
-        raise a floating-point warning.  The mesh builders call it once,
-        on every stencil arm that exits the domain, and clamp each result
-        to the arm's nominal length; without it they bisect the sdf
-        (``_boundary_crossings``).  ``rectangle``, ``square`` and
-        ``disc`` supply one.
+        boundary, to within a few ulps of the coordinates.  It must not
+        raise a floating-point warning.  ``rectangle``, ``square`` and
+        ``disc`` supply one; without it, ``ray_crossings`` bisects the
+        sdf.
     """
 
     sdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -82,10 +78,13 @@ class ConvexDomain:
             raise ValueError(f"sdf must be callable, got {self.sdf!r}")
         if self.crossing is not None and not callable(self.crossing):
             raise ValueError(f"crossing must be callable or None, got {self.crossing!r}")
-        box = tuple(self.bounding_box)
-        if not (len(box) == 4 and all(np.isfinite(box)) and box[0] < box[1] and box[2] < box[3]):
+        entries = np.asarray(self.bounding_box, dtype=object)
+        box = (entries.astype(float).tolist()
+               if entries.shape == (4,) and all(map(_is_real, entries)) else None)
+        if not (box and all(np.isfinite(box)) and box[0] < box[1] and box[2] < box[3]):
             raise ValueError("bounding box must be four finite numbers (xmin, xmax, ymin, ymax) "
-                             f"with xmin < xmax and ymin < ymax, got {box}")
+                             f"with xmin < xmax and ymin < ymax, got {self.bounding_box!r}")
+        object.__setattr__(self, "bounding_box", tuple(box))
 
     def signed_distance(self, p) -> np.ndarray:
         """Signed distance from ``p`` (shape ``(..., 2)``) to the boundary.
@@ -98,6 +97,30 @@ class ConvexDomain:
             raise ValueError(f"sdf must return shape {p.shape[:-1]} for points of shape "
                              f"{p.shape}, got shape {dist.shape}")
         return dist
+
+    def ray_crossings(self, origins, directions, brackets) -> np.ndarray:
+        """Distance along each ray to the boundary.
+
+        ``origins`` are ``(m, 2)`` interior points, ``directions`` unit
+        vectors of the same shape, and ``brackets`` the ``(m,)`` upper
+        bounds at which the signed distance is already nonnegative.  With a
+        ``crossing``, the result is its distances clamped to the brackets;
+        a result that is not ``m`` finite, positive distances is a
+        ValueError that names the domain.  Without one, the sdf is bisected
+        (``_boundary_crossings``).
+        """
+        if self.crossing is None:
+            return _boundary_crossings(self, origins, directions, brackets)
+        m = len(brackets)
+        t = np.asarray(self.crossing(origins, directions), dtype=float)
+        if t.shape != (m,):
+            raise ValueError(f"crossing of domain {self.name!r} must return shape ({m},) for "
+                             f"{m} rays, got shape {t.shape}")
+        bad = ~(np.isfinite(t) & (t > 0.0))
+        if bad.any():
+            raise ValueError(f"crossing of domain {self.name!r} must return finite, positive "
+                             f"distances, got {float(t[bad][0])}")
+        return np.minimum(t, brackets)
 
 
 def _numbers(value, name: str, *shapes) -> list[float]:
@@ -208,52 +231,30 @@ def make_domain(name: str, **params) -> ConvexDomain:
 
 
 # Upper bound on the bisection passes of _boundary_crossings: 80 take any
-# bracket below double-precision resolution, while the mesh builders'
-# brackets reach the fixed point in 54 to 62 passes.  The ends of a bracket
-# [0, B] can be adjacent doubles only after about as many halvings as a
-# double has mantissa bits (52), so the fixed-point test starts after
-# FIXED_POINT_PASSES passes; a test that starts late only adds passes that
-# repeat the fixed point, which changes no result.  On every benchmark grid
-# the first ray to keep its bracket does so at pass 53.
+# bracket below double-precision resolution, and the mesh builders' brackets
+# reach the fixed point sooner.
 BISECTION_PASSES = 80
-FIXED_POINT_PASSES = np.finfo(float).nmant
 
 
 def _boundary_crossings(domain: ConvexDomain, origins, directions, brackets):
     """Distance along each ray to the boundary, by vectorized bisection.
 
-    ``origins`` and ``directions`` have shape ``(m, 2)``, in any memory
-    layout; ``brackets`` holds, per ray, an upper bound on the crossing
-    distance at which the signed distance is already nonnegative.  The
-    domain is convex and the origins interior, so each ray crosses the
-    boundary once.  The mesh builders bracket with the nominal stencil arm
-    length.  The rays are held as coordinate planes: every pass writes
-    ``ox + mid*dx`` and ``oy + mid*dy`` into the rows of one ``(2, m)``
-    buffer, the float operations of ``origins + mid[:, None] * directions``,
-    and hands the sdf its ``(m, 2)`` transpose.  Halving stops at the fixed
-    point, the first pass that changes no ``lo`` and no ``hi``, tested from
-    pass ``FIXED_POINT_PASSES + 1`` on, and after ``BISECTION_PASSES``
-    passes at most.  Every pass after the fixed point repeats it, so the
-    result is the same bit for bit as with all ``BISECTION_PASSES`` halvings
-    or with a test on every pass.  An empty ray set still runs
-    ``FIXED_POINT_PASSES + 1`` passes, each an sdf call on no points.
+    ``origins`` and ``directions`` have shape ``(m, 2)``; ``brackets``
+    holds, per ray, an upper bound on the crossing distance at which the
+    signed distance is already nonnegative.  The domain is convex and the
+    origins interior, so each ray crosses the boundary once.  Halving stops
+    at the fixed point, the first pass that changes no ``lo`` and no
+    ``hi``, and after ``BISECTION_PASSES`` passes at most.  Every pass
+    after the fixed point repeats it, so the result is the same bit for bit
+    as with all ``BISECTION_PASSES`` halvings.
     """
-    ox, oy = np.ascontiguousarray(np.asarray(origins, dtype=float).T)
-    dx, dy = np.ascontiguousarray(np.asarray(directions, dtype=float).T)
     lo = np.zeros(len(brackets))
-    hi = np.asarray(brackets, dtype=float).copy()
-    mid = np.empty_like(lo)
-    points = np.empty((2, len(lo)))
-    for k in range(1, BISECTION_PASSES + 1):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.multiply(mid, dx, out=points[0])
-        points[0] += ox
-        np.multiply(mid, dy, out=points[1])
-        points[1] += oy
-        inside = domain.signed_distance(points.T) < 0.0
+    hi = np.asarray(brackets, dtype=float)
+    for _ in range(BISECTION_PASSES):
+        mid = 0.5 * (lo + hi)
+        inside = domain.signed_distance(origins + mid[:, None] * directions) < 0.0
         # the pass changes nothing if every end it would move is mid already
-        if k > FIXED_POINT_PASSES and np.array_equal(np.where(inside, lo, hi), mid):
+        if np.array_equal(np.where(inside, lo, hi), mid):
             break
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)

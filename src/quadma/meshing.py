@@ -8,14 +8,15 @@ builds every grid from it.  Interior nodes are the sites deeper inside the
 domain than the boundary clearance (signed distance < -CLEARANCE*h).  An
 arm whose target site is again interior keeps its full tiling length; an
 arm that exits the domain is shortened to the point where its ray crosses
-the boundary, and that crossing becomes a boundary point.  The crossing is
-the domain's closed form where it has one (rectangles and discs), else a
-bisection of its signed distance.  A target site inside the domain but
-within the clearance of its boundary is not interior: the arm ends there,
-and the site becomes a boundary point, where ``u = g`` as on the boundary
-itself.  So every interior node has, for every stencil angle, a pair of
-exactly aligned neighbors within the stencil width, and every boundary
-point has signed distance in ``[-CLEARANCE*h, 0]`` up to roundoff.
+the boundary, and that crossing becomes a boundary point.  The domain
+finds the crossing (``ConvexDomain.ray_crossings``): in closed form where it
+has one (rectangles and discs), else by bisecting its signed distance.  A
+target site inside the domain but within the clearance of its boundary is
+not interior: the arm ends there, and the site becomes a boundary point,
+where ``u = g`` as on the boundary itself.  So every interior node has,
+for every stencil angle, a pair of exactly aligned neighbors within the
+stencil width, and every boundary point has signed distance in
+``[-CLEARANCE*h, 0]`` up to roundoff.
 
 The clearance keeps arms long: an arm runs from signed distance below
 ``-CLEARANCE*h`` to signed distance at least ``-CLEARANCE*h``, and the
@@ -62,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .angles import AngularDiscretization, _is_integer, _is_real, hex_angles, l1_angles, l1_offsets
-from .domains import ConvexDomain, _boundary_crossings
+from .domains import ConvexDomain
 
 __all__ = [
     "Grid",
@@ -242,9 +243,8 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     neighbor is outside.  End points within ``dedup_tol`` of each other in
     the max norm, chains included, become one boundary point, numbered by
     the first arm (in that order) that ends there.  The work is vectorized
-    over all arms: one call of the domain's ``crossing``, clamped to the
-    nominal lengths, or without one a bisection, for every crossing; and
-    one sort-and-sweep (``_merge_labels``) for the groups of end points.
+    over all arms: one call of ``domain.ray_crossings`` for every crossing,
+    and one sort-and-sweep (``_merge_labels``) for the groups of end points.
 
     Completes both tables in place and returns the full point array,
     interior first, boundary appended.
@@ -269,8 +269,7 @@ def augment_boundary(domain: ConvexDomain, interior_points, angles: AngularDiscr
     cross = index.take(slot) != NEAR_NODE
     ts = lengths.take(slot)
     o, d, brackets = origins[:, cross].T, rays[:, cross].T, ts[cross]
-    ts[cross] = (_boundary_crossings(domain, o, d, brackets) if domain.crossing is None
-                 else np.minimum(domain.crossing(o, d), brackets))
+    ts[cross] = domain.ray_crossings(o, d, brackets)
     crossings = (origins + ts * rays).T
 
     # groups are numbered in order of their first end point
@@ -302,10 +301,7 @@ def _tiling_grid(domain: ConvexDomain, kind: MeshKind, sites, spacing, sublattic
 
     # The index map lives on the lattice padded by the longest arm offset
     # and flattened, so every arm is a fixed flat offset and needs no bounds
-    # check.  Lookups stay on 1-D columns with scalar offsets, for the
-    # square-lu grid (Cartesian n=72, K=5): one take over every arm's
-    # per-node offset is 1.2x slower there (450 -> 590 us on a 2-core Xeon),
-    # though 2-2.5x faster on discs at n=80 and at Cartesian n=256.
+    # check.
     pad = int(np.abs(offsets).max())
     width = sites.shape[1] + 2 * pad
     idx_map = np.full((sites.shape[0] + 2 * pad) * width, -1, dtype=np.int64)
@@ -315,13 +311,8 @@ def _tiling_grid(domain: ConvexDomain, kind: MeshKind, sites, spacing, sublattic
     idx_map[flat] = np.arange(n_int)
     label = sublattice[rows[inside], cols[inside]]
 
-    index = np.empty((2, n_int, len(angles)), dtype=np.int64)
-    for k, steps in enumerate(offsets @ (width, 1)):
-        members = np.flatnonzero(label == k)
-        base = flat[members]
-        for side, side_steps in enumerate(steps):
-            for a, step in enumerate(side_steps.tolist()):
-                index[side, members, a] = idx_map[base + step]
+    index = idx_map.take((offsets @ (width, 1)).transpose(1, 0, 2).take(label, axis=1)
+                         + flat[:, None])
     arm = lengths.transpose(1, 0, 2).take(label, axis=1)
 
     points = augment_boundary(domain, pts[inside], angles, index, arm, dedup_tol=1e-9 * h)

@@ -1,3 +1,4 @@
+import dataclasses
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -166,9 +167,25 @@ def test_rectangle_crossing_along_the_axes():
 
 @pytest.mark.parametrize("name", sorted(_BUILDERS))
 def test_every_named_domain_has_a_crossing(name):
-    # a built-in shape that lost its closed form would fall back to the
-    # bisection, 54 to 62 sdf passes, without a word
+    # a built-in shape that lost its closed form would fall back, without a
+    # word, to ray_crossings' bisection: 54 to 62 sdf passes over every
+    # exiting arm, on a path that no benchmark workload runs
     assert make_domain(name).crossing is not None
+
+
+@pytest.mark.parametrize("crossing, named", [
+    (lambda o, d: 0.5, r"shape \(\d+,\) for \d+ rays, got shape \(\)"),
+    (lambda o, d: disc().crossing(o, d)[:, None], r"got shape \(\d+, 1\)"),
+    (lambda o, d: np.full(len(o), np.nan), "finite, positive distances, got nan"),
+    (lambda o, d: -disc().crossing(o, d), "finite, positive distances, got -"),
+], ids=["scalar", "column", "nan", "negated"])
+def test_malformed_crossing_is_rejected(crossing, named):
+    # a scalar ran every exiting arm out to its nominal length, NaNs built
+    # non-finite points and negated distances negative arms, all without a
+    # word; a column failed with a numpy TypeError
+    domain = dataclasses.replace(disc((0.0, 0.0), 1.0), crossing=crossing)
+    with pytest.raises(ValueError, match="crossing of domain 'disc' must return .*" + named):
+        build_grid(domain, "hex", 16)
 
 
 _UNIT_DISC_BOX = (-1.0, 1.0, -1.0, 1.0)
@@ -259,8 +276,24 @@ def test_rectangle_takes_a_number_or_a_pair(size):
     (0.0, 0.0, 0.0, 1.0),       # empty in x
     (0.0, 1.0, 1.0, 0.0),       # upside down in y
     (0.0, 1.0, 0.0),
+    (False, 1.0, -1.0, 1.0),    # a bool is not a number
+    (np.array(-1.0), 1, -1, 1),
+    ("0", 1, 0, 1),
+    "0101",
 ])
 def test_convex_domain_rejects_a_bad_bounding_box(box):
+    # a bool and a 0-d array were stored raw, and a str failed with a numpy
+    # TypeError
     sdf = lambda p: np.zeros(p.shape[:-1])
     with pytest.raises(ValueError, match="bounding box"):
         ConvexDomain(sdf, box)
+
+
+@pytest.mark.parametrize("box", [(0, 1, 0, 1), [0.0, 1.0, 0.0, 1.0],
+                                 (np.int32(0), np.float32(1.0), np.float64(0.0), 1),
+                                 np.array([0.0, 1.0, 0.0, 1.0])])
+def test_convex_domain_stores_the_bounding_box_as_floats(box):
+    domain = ConvexDomain(lambda p: np.zeros(p.shape[:-1]), box)
+    assert type(domain.bounding_box) is tuple
+    assert all(type(v) is float for v in domain.bounding_box)
+    assert domain.bounding_box == (0.0, 1.0, 0.0, 1.0)

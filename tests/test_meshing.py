@@ -224,6 +224,29 @@ def test_grid_matches_golden_digest_closed_form(domain, backend, n, K, expected)
     assert _grid_digest(build_grid(domain, backend, n, K)) == expected
 
 
+@pytest.mark.parametrize("domain,backend,n,K", [
+    (square((-1.0, -1.0), 2.0), "cartesian", 72, 5),
+    (square((-1.0, -1.0), 2.0), "hex", 64, None),
+    (rectangle((-0.3, 0.1), (1.7, 0.9)), "cartesian", 33, None),
+    (rectangle((-0.3, 0.1), (1.7, 0.9)), "hex", 40, None),
+    (disc((0.1, 0.03), 0.77), "cartesian", 51, None),
+    (disc((0.1, 0.03), 0.77), "hex", 51, None),
+    (disc((0.0, 0.0), 1.0), "cartesian", 79, None),
+    (disc((0.0, 0.0), 1.0), "hex", 79, None),
+])
+def test_closed_form_and_bisection_build_the_same_grid(domain, backend, n, K):
+    # the golden grids on both crossing paths: the same stencils, and
+    # boundary points a few ulps apart (at most 22 ulps of the box's
+    # largest coordinate over these and every benchmark grid)
+    grid = build_grid(domain, backend, n, K)
+    bisected = build_grid(_sdf_only(domain), backend, n, K)
+    assert np.array_equal(grid.plus_index, bisected.plus_index)
+    assert np.array_equal(grid.minus_index, bisected.minus_index)
+    assert grid.points.shape == bisected.points.shape
+    scale = np.abs(domain.bounding_box).max()
+    assert np.abs(grid.points - bisected.points).max() <= 64.0 * np.finfo(float).eps * scale
+
+
 _corner = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 
 
@@ -430,8 +453,9 @@ def test_boundary_crossings_match_plain_bisection(shape, lower_left, size, aspec
                                                               h, seed)
     expected = boundary_crossings_reference(domain, origins, directions, brackets)
     assert np.array_equal(_boundary_crossings(domain, origins, directions, brackets), expected)
-    # the rays are read as coordinate planes whatever the inputs' layout:
-    # Fortran order, every third row, every other column, rows reversed
+    # and the same whatever the inputs' memory layout: Fortran order, as
+    # augment_boundary passes them, every third row, every other column,
+    # rows reversed
     for layout in (np.asfortranarray,
                    lambda a: np.repeat(a, 3, axis=0)[1::3],
                    lambda a: np.insert(a, 1, np.nan, axis=1)[:, ::2],
@@ -440,6 +464,22 @@ def test_boundary_crossings_match_plain_bisection(shape, lower_left, size, aspec
         assert np.array_equal(o, origins) and np.array_equal(d, directions)
         assert not (o.flags.c_contiguous and d.flags.c_contiguous)
         assert np.array_equal(_boundary_crossings(domain, o, d, brackets), expected)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**_rays)
+def test_ray_crossings_take_the_closed_form_or_bisect(shape, lower_left, size, aspect, h, seed):
+    # a built-in domain clamps its crossing to the brackets, bit for bit; an
+    # sdf-only wrapper gives the plain bisection's crossings; neither
+    # passes a bracket
+    domain, origins, directions, brackets, _ = _exiting_rays(shape, lower_left, size, aspect,
+                                                              h, seed)
+    t = domain.ray_crossings(origins, directions, brackets)
+    assert np.array_equal(t, np.minimum(domain.crossing(origins, directions), brackets))
+    bisected = _sdf_only(domain).ray_crossings(origins, directions, brackets)
+    assert np.array_equal(bisected,
+                          boundary_crossings_reference(domain, origins, directions, brackets))
+    assert np.all(t <= brackets) and np.all(bisected <= brackets)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

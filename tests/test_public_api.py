@@ -1,7 +1,9 @@
 """Every name ``quadma`` exports has a line, with its caller, in the README's API list,
-and every name a module imports is used or exported."""
+every constant the README names exists, and every name a module imports is used or
+exported."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -24,6 +26,38 @@ def test_readme_api_list_matches_all():
     names = _readme_api_names()
     assert len(names) == len(set(names))
     assert set(names) == set(quadma.__all__)
+
+
+def _unresolved_constants(text: str) -> tuple[list[str], list[str]]:
+    """The backticked ALL_CAPS names in ``text``, each bare or behind a
+    ``quadma.``-relative module path, and those that name no attribute of a
+    ``quadma`` module."""
+    names = re.findall(r"`((?:\w+\.)*[A-Z][A-Z0-9_]+)`", text)
+    modules = [importlib.import_module(f"quadma.{path.stem}".removesuffix(".__init__"))
+               for path in MODULES]
+    unresolved = []
+    for name in names:
+        *path, attr = name.removeprefix("quadma.").split(".")
+        owners = [importlib.import_module(".".join(["quadma", *path]))] if path else modules
+        if not any(hasattr(owner, attr) for owner in owners):
+            unresolved.append(name)
+    return names, unresolved
+
+
+def test_readme_constants_exist():
+    # a README name that outlives its code sends readers after nothing
+    names, unresolved = _unresolved_constants(README.read_text())
+    assert {"BENCHMARKS", "BISECTION_PASSES", "operator.EPSILON_MIN", "EPSILON_MAX",
+            "quadma.meshing.CLEARANCE"} <= set(names)
+    assert unresolved == []
+
+
+def test_readme_constant_check_finds_one():
+    names, unresolved = _unresolved_constants(
+        "`CLEARANCE`, `meshing.CLEARANCE`, `operator.CLEARANCE`, `NO_SUCH_NAME`, `K`")
+    assert names == ["CLEARANCE", "meshing.CLEARANCE", "operator.CLEARANCE",
+                     "NO_SUCH_NAME"]
+    assert unresolved == ["operator.CLEARANCE", "NO_SUCH_NAME"]
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
